@@ -285,52 +285,37 @@ def _classification_json(cfg: WalkConfig, tol: float) -> dict:
     return out
 
 
+# Keys of the classification that ``run`` writes to its .meta.json.
+_RUN_META_KEYS = {
+    "kp": ("outcome", "index", "period"),
+    "kpn": ("outcome", "spec", "period", "branch"),
+    "kpn-dual": ("outcome", "epsilon"),
+}
+
+
+def _engine(cfg: WalkConfig) -> wk._PowerEngine:
+    if cfg.group == "kp":
+        return wk._PowerEngine(kp8._kp_table(_kp_coefficients(cfg)))
+    if cfg.group == "kpn-dual":
+        return wk._PowerEngine(du._dual_table(_dual_element(cfg)))
+    return wk._PowerEngine(_central_element(cfg))
+
+
 def cmd_run(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
     tol = tolerance_of(cfg)
     path = out_path or cfg.output
-    if cfg.group == "kp":
-        g = _kp_coefficients(cfg)
-        report = kp8.kp_validate_state(g, tol)
-        if not report.is_state:
-            return _state_failure(report, stderr)
-        rows = []
-        for k in range(1, cfg.k_max + 1):
-            lo, up = kp8.kp_bounds(g, k)
-            rows.append((k, _clamp(kp8.kp_qtv_to_haar(g, k)), _clamp(lo), _clamp(up)))
-        c = kp8.kp_classify(g, tol)
-        meta = {"outcome": "pal" if c.kind == "pal" else c.kind}
-        if c.pal_index is not None:
-            meta["index"] = c.pal_index
-        if c.period is not None:
-            meta["period"] = c.period
-    elif cfg.group == "kpn-dual":
-        a = _dual_element(cfg)
-        report = du.dual_validate_state(a, tol)
-        if not report.is_state:
-            return _state_failure(report, stderr)
-        rows = []
-        for k in range(1, cfg.k_max + 1):
-            lo, up = du.dual_bounds(a, k, tol)
-            rows.append((k, _clamp(du.dual_qtv_to_haar(a, k, tol)), _clamp(lo), _clamp(up)))
-        c = du.dual_classify(a, tol)
-        meta = {"outcome": c.kind}
-        if c.epsilon is not None:
-            meta["epsilon"] = c.epsilon.describe()
-    else:
-        a = _central_element(cfg)
-        report = sk.validate_state(a, tol)
-        if not report.is_state:
-            return _state_failure(report, stderr)
-        trace = wk.walk_trace(a, cfg.k_max, tol)
-        rows = [(s.k, _clamp(s.qtv), _clamp(s.lower), _clamp(s.upper)) for s in trace.steps]
-        c = trace.classification
-        meta = {"outcome": c.kind if c.kind != "idempotent" else c.spec.describe()["type"]}
-        if c.kind == "idempotent":
-            meta["spec"] = _spec_json(c.spec)
-        if c.kind == "diverges":
-            meta["period"] = trace.cycle
-        if c.branch:
-            meta["branch"] = c.branch
+    report = _validation_report(cfg, tol)
+    if not report.is_state:
+        return _state_failure(report, stderr)
+    engine = _engine(cfg)
+    rows = [
+        (k, _clamp(engine.qtv(k)), _clamp(engine.lower(k)), _clamp(engine.upper(k)))
+        for k in range(1, cfg.k_max + 1)
+    ]
+    doc = _classification_json(cfg, tol)
+    meta = {key: doc[key] for key in _RUN_META_KEYS[cfg.group] if key in doc}
+    if cfg.group == "kpn" and doc["outcome"] == "diverges":
+        meta.setdefault("period", None)  # kpn runs report a missing period as null
 
     def write_rows(handle):
         writer = csv.writer(handle, lineterminator="\n")
@@ -356,7 +341,7 @@ def cmd_classify(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
         doc = _classification_json(cfg, tol)
     except (wk.NotAStateError, ValueError) as exc:
         report = _validation_report(cfg, tol)
-        if report is not None and not report.is_state:
+        if not report.is_state:
             return _state_failure(report, stderr)
         raise
     text = json.dumps(doc, sort_keys=True)
@@ -368,7 +353,7 @@ def cmd_classify(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _validation_report(cfg: WalkConfig, tol: float) -> sk.StateReport | None:
+def _validation_report(cfg: WalkConfig, tol: float) -> sk.StateReport:
     if cfg.group == "kp":
         return kp8.kp_validate_state(_kp_coefficients(cfg), tol)
     if cfg.group == "kpn-dual":
@@ -407,11 +392,13 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
                 " l = n/2 equals -1 and the walk does not converge to the Haar state"
             )
         a = wk.cutoff_state(n)
+        wk._require_state(a)
+        engine = wk._PowerEngine(a)
         for c in c_list:
             ks = sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
             for k in ks:
                 k = max(k, 1)
-                q = wk.qtv_to_haar(a, k)
+                q = engine.qtv(k)
                 lo, us, ut = wk.cutoff_bounds(n, k)
                 rows.append((n, c, k, _clamp(q), _clamp(lo), _clamp(us), _clamp(ut)))
 

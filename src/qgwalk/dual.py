@@ -12,7 +12,6 @@ expression through the Fourier profile of the walk element.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +21,9 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
 )
-from .sekine import (
-    StateReport,
-    fourier_profile,
-    genuine_x_range,
-)
+from .sekine import StateReport
+from .sekine import fourier_profile  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
+from .walks import WalkTable, _PowerEngine
 
 XHAT = "Xhat"
 
@@ -92,17 +89,45 @@ def dual_fourier_values(a: DualCentralElement) -> dict[DualKey, complex]:
     return values
 
 
+def _dual_table(a: DualCentralElement) -> WalkTable:
+    """The dual walk as seen by the engine.
+
+    With D the 2-D DFT of the powered non-trivial coefficient grid and
+    A the powered Xhat coefficient, the density of a^k - h against the
+    dual Haar state takes the values D(u, w) on the primal irreducibles:
+    rho_l^+- see D(l, 0), shifted by +-n A at l = 0; sigma_l^+- see
+    D(l, n/2); and the genuine 2x2 blocks X(u, v) are diagonal,
+    diag(D(u, v), D(u, -v)), weighted by their dimension 2.  Listing D
+    twice, once with +n A and once with -n A at (0, 0), gives every value
+    the weight 1/(2n^2) of the algebra C^(2n^2).
+    """
+    n = a.n
+    keys = sorted(key for key in a.coeffs if key not in ((0, 0), XHAT)) + [XHAT]
+    cells = np.array([i * n + j for i, j in keys[:-1]], dtype=int)
+    dims = np.array([1.0] * len(cells) + [float(n)])
+    ratios = np.array([a.coefficient(key) for key in keys], dtype=np.complex128) / dims
+
+    def synth(c):
+        grid = np.zeros(n * n, dtype=np.complex128)
+        grid[cells] = c[:-1]
+        plus = np.fft.fft2(grid.reshape(n, n)).reshape(-1)
+        minus = plus.copy()
+        plus[0] += n * c[-1]
+        minus[0] -= n * c[-1]
+        return np.concatenate([plus, minus]), np.zeros((0, 0))
+
+    shape = AlgebraShape(2 * n * n, 0, 1.0 / (2 * n * n), 0.0)
+    return WalkTable(shape, keys, ratios, dims, n, np.ones(len(keys), bool), synth)
+
+
 def dual_power(a: DualCentralElement, k: int) -> DualCentralElement:
-    """Coefficients of the k-th convolution power: a_alpha^k / d_alpha^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    coeffs: dict[DualKey, complex] = {}
-    for key, c in a.coeffs.items():
-        d = a.dimension(key)
-        val = complex(c) ** k / d ** (k - 1)
-        if val != 0.0:
-            coeffs[key] = val
-    return DualCentralElement(a.n, coeffs)
+    """Coefficients of the k-th convolution power: a_alpha^k / d_alpha^(k-1).
+
+    The coefficient at (0, 0) is 1, as for a state.
+    """
+    engine = _PowerEngine(_dual_table(a))
+    powered = zip(engine.table.keys, engine.coefficients(k).tolist())
+    return DualCentralElement(a.n, {(0, 0): 1.0, **{key: c for key, c in powered if c != 0.0}})
 
 
 def dual_to_primal(a: DualCentralElement) -> AlgebraElement:
@@ -134,40 +159,17 @@ def dual_qtv_to_haar(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) ->
     has blocks 2n^2 * Fhat(w)(alpha) over the primal irreducibles, where
     w is the walk element in C(KP_n); the dual Haar state itself has the
     unit density.  The distance is half the weighted trace norm of the
-    difference.
+    difference (see ``_dual_table``).
     """
     _require_dual_state(a, tol)
-    n = a.n
-    w = dual_to_primal(dual_power(a, k))
-    prof = fourier_profile(w)
-    scale = 2.0 * n * n
-    total = 0.0
-    for label, val in prof.scalars.items():
-        total += abs(scale * val - 1.0)
-    eye = np.eye(2)
-    for v in genuine_x_range(n):
-        for u in range(n):
-            diff = scale * prof.blocks[(u, v)] - eye
-            total += 2.0 * np.linalg.svd(diff, compute_uv=False).sum()
-    return 0.5 * total / scale
+    return _PowerEngine(_dual_table(a)).qtv(k)
 
 
 def dual_bounds(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Lower and upper mixing bounds for the dual walk at step k."""
     _require_dual_state(a, tol)
-    lower = 0.0
-    upper_sq = 0.0
-    for key, c in a.coeffs.items():
-        if key == (0, 0):
-            continue
-        d = a.dimension(key)
-        ratio = abs(c) / d
-        if ratio > 0.0:
-            lower = max(lower, 0.5 * math.exp(k * math.log(ratio)) if ratio < 1 else 0.5 * ratio**k)
-        m = abs(c)
-        if m > 0.0:
-            upper_sq += m ** (2 * k) / d ** (2 * (k - 1))
-    return lower, 0.5 * math.sqrt(upper_sq)
+    engine = _PowerEngine(_dual_table(a))
+    return engine.lower(k), engine.upper(k)
 
 
 @dataclass(frozen=True)

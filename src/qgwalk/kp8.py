@@ -18,10 +18,11 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     haar_integral,
-    l1_norm,
     unit,
 )
+from .algebra import l1_norm  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
 from .sekine import StateReport
+from .walks import WalkTable, _PowerEngine, circle_period
 
 KP_SHAPE = AlgebraShape.kac_paljutkin()
 
@@ -38,6 +39,30 @@ _KP_IRREPS = {
     "rho4": AlgebraElement(KP_SHAPE, [1, 1, 1, 1], -np.eye(2)),
     "chiX": AlgebraElement(KP_SHAPE, [2, 0, 0, -2], np.zeros((2, 2))),
 }
+
+
+# The engine's view of KP: the non-trivial characters rho2, rho3, rho4,
+# chiX and their dimensions.  Every character has a diagonal matrix
+# block, so each is stored as the 8-vector of its abelian part followed
+# by its matrix diagonal, listed twice: with weight 1/8 per entry that is
+# the abelian weight 1/8 and the matrix weight 2/8 of C^4 + M_2(C).
+_KP_KEYS = ("g2", "g3", "g4", "gX")
+_KP_DIMS = np.array([1.0, 1.0, 1.0, 2.0])
+_KP_DIAGONAL = np.array(
+    [
+        np.concatenate([x.abelian, np.diag(x.matrix), np.diag(x.matrix)])
+        for x in (_KP_IRREPS[name] for name in ("rho2", "rho3", "rho4", "chiX"))
+    ]
+)
+_KP_DIAGONAL_SHAPE = AlgebraShape(8, 0, 1.0 / 8.0, 0.0)
+# The lower bound uses rho2..rho4 only.
+_KP_LOWER = np.array([True, True, True, False])
+
+# A KP ratio on the unit circle repeats with period p when
+# |r^p - 1| <= KP_PERIOD_TOL.  For real coefficients those ratios are
+# +-1, so the tolerance only has to sit between rounding (about 1e-16 p)
+# and the distance 2 between the two.
+KP_PERIOD_TOL = 1e-10
 
 
 def kp_irreps() -> dict[str, AlgebraElement]:
@@ -98,18 +123,24 @@ def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateRepor
     return StateReport(not failures, failures)
 
 
+def _kp_synth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return c @ _KP_DIAGONAL, np.zeros((0, 0))
+
+
+def _kp_table(g: KPCoefficients) -> WalkTable:
+    ratios = np.array(g.as_tuple()[1:]) / _KP_DIMS
+    return WalkTable(_KP_DIAGONAL_SHAPE, _KP_KEYS, ratios, _KP_DIMS, 2, _KP_LOWER, _kp_synth)
+
+
 def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:
-    """Coefficientwise power: g_alpha^k / d_alpha^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    g1, g2, g3, g4, gx = g.as_tuple()
-    return KPCoefficients(g1**k, g2**k, g3**k, g4**k, gx**k / 2.0 ** (k - 1))
+    """Coefficientwise power g_alpha^k / d_alpha^(k-1); g1 is 1, as for a state."""
+    engine = _PowerEngine(_kp_table(g))
+    return KPCoefficients(1.0, **dict(zip(engine.table.keys, engine.coefficients(k).tolist())))
 
 
 def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
-    """Exact distance of the k-th convolution power to the Haar state."""
-    x = kp_element(kp_convolution_power(g, k))
-    return 0.5 * l1_norm(x - _KP_UNIT)
+    """Exact distance of the k-th convolution power to the Haar state (g1 is 1)."""
+    return _PowerEngine(_kp_table(g)).qtv(k)
 
 
 def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
@@ -117,13 +148,8 @@ def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
     report = kp_validate_state(g)
     if not report.is_state:
         raise ValueError(f"not a state: {report.failures}")
-    _, g2, g3, g4, gx = g.as_tuple()
-    lower = 0.5 * max(abs(g2), abs(g3), abs(g4)) ** k
-    upper = np.sqrt(
-        0.25 * (abs(g2) ** (2 * k) + abs(g3) ** (2 * k) + abs(g4) ** (2 * k))
-        + abs(gx) ** (2 * k) / 4.0**k
-    )
-    return lower, float(upper)
+    engine = _PowerEngine(_kp_table(g))
+    return engine.lower(k), engine.upper(k)
 
 
 @dataclass(frozen=True)
@@ -209,7 +235,7 @@ def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification
     if abs(gx - 2.0) <= tol:
         return KPClassification("pal", pal_index=1, immediate=True, evidence=evidence)
     if abs(gx + 2.0) <= tol or any(is_minus_one(v) for v in (g2, g3, g4)):
-        period = _kp_period(g, tol)
+        period = circle_period(_kp_table(g).ratios, 16, KP_PERIOD_TOL, tol)
         return KPClassification("diverges", period=period, evidence=evidence)
     ones = sum(1 for v in (g2, g3, g4) if is_one(v))
     if ones >= 2:
@@ -221,13 +247,3 @@ def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification
     if is_one(g4):
         return KPClassification("pal", pal_index=5, evidence=evidence)
     return KPClassification("haar", evidence=evidence)
-
-
-def _kp_period(g: KPCoefficients, tol: float, max_period: int = 16) -> int | None:
-    """Smallest asymptotic period of the coefficient powers, if any."""
-    ratios = [g.g2, g.g3, g.g4, g.gX / 2.0]
-    circle = [r for r in ratios if abs(abs(r) - 1.0) <= tol]
-    for p in range(1, max_period + 1):
-        if all(abs(r**p - 1.0) <= 1e-10 for r in circle):
-            return p
-    return None

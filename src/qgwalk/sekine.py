@@ -200,26 +200,25 @@ class CentralElement:
         return all(abs(self.coefficient(a) - other.coefficient(a)) <= tol for a in labels)
 
 
+def _coeff_slot(n: int, label: IrrepLabel) -> int:
+    """Position of a label in the flat coefficient layout of ``_split_coeffs``."""
+    if label.kind == X:
+        return 4 * n + label.index * (n // 2 + 1) + label.sub
+    return _ONE_DIM_KINDS.index(label.kind) * n + label.index
+
+
+def _split_coeffs(n: int, flat: np.ndarray):
+    """Per-kind views rp, rm, sp, sm (length n) and xv (n x (n//2 + 1)) of a flat vector."""
+    return (*flat[: 4 * n].reshape(4, n), flat[4 * n :].reshape(n, n // 2 + 1))
+
+
 def _coeff_arrays(a: CentralElement):
     """Coefficients split into dense per-kind arrays (zeros where absent)."""
     n = a.n
-    rp = np.zeros(n, dtype=np.complex128)
-    rm = np.zeros(n, dtype=np.complex128)
-    sp = np.zeros(n, dtype=np.complex128)
-    sm = np.zeros(n, dtype=np.complex128)
-    xv = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    flat = np.zeros(4 * n + n * (n // 2 + 1), dtype=np.complex128)
     for label, c in a.coeffs.items():
-        if label.kind == RHO_PLUS:
-            rp[label.index] = c
-        elif label.kind == RHO_MINUS:
-            rm[label.index] = c
-        elif label.kind == SIGMA_PLUS:
-            sp[label.index] = c
-        elif label.kind == SIGMA_MINUS:
-            sm[label.index] = c
-        else:
-            xv[label.index, label.sub] = c
-    return rp, rm, sp, sm, xv
+        flat[_coeff_slot(n, label)] = c
+    return _split_coeffs(n, flat)
 
 
 def _element_arrays(n, rp, rm, sp, sm, xv):

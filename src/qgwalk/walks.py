@@ -7,20 +7,24 @@ the open unit disc or equals 1; the limit is then read off from the
 coefficients that sit exactly at 1, and reconstructed as one of the
 central idempotent states.  Ratios on the unit circle away from 1 force
 divergence, cyclic when the angles are commensurable.
+
+The walk engine here also drives the Kac-Paljutkin group and the dual of
+KP_n: each group describes itself by a WalkTable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    AlgebraElement,
+    AlgebraShape,
     l1_norm,
-    qtv_distance,
-    unit,
 )
 from .idempotents import (
     HaarSpec,
@@ -35,13 +39,19 @@ from .idempotents import (
 from .sekine import (
     CentralElement,
     IrrepLabel,
+    _coeff_slot,
+    _element_arrays,
+    _split_coeffs,
     central_to_element,
     rho_plus,
     trivial_label,
     validate_state,
 )
 
-MAX_POWER = 10**6
+# A ratio whose modulus lies within ROOT_TOL of 1, or whose phase lies
+# within ROOT_TOL of a root of unity of the group's order, is powered
+# exactly there, so boundary walks do not drift off the circle.
+ROOT_TOL = 1e-12
 
 
 class NotAStateError(ValueError):
@@ -58,88 +68,147 @@ def _require_state(a: CentralElement, tol: float = DEFAULT_TOL) -> None:
         raise NotAStateError(f"not a state: {report.failures}")
 
 
-def _power_coefficient(c: complex, d: int, k: int, n: int) -> complex:
-    """c^k / d^(k-1), stable for large k.
+@dataclass(frozen=True)
+class WalkTable:
+    """What the walk engine needs to know about one group and one state.
 
-    Coefficients that are exactly d times an n-th root of unity are
-    powered by index arithmetic so boundary cases stay exact.
+    ``ratios`` are the non-trivial r_alpha = a_alpha / d_alpha, named by
+    ``keys``, with dimensions ``dims``; ``lower`` marks the ratios that
+    enter the lower bound.  Phases that are ``order``-th roots of unity
+    are powered exactly.  ``synth`` maps the powered coefficients
+    a_alpha^k / d_alpha^(k-1) to the (abelian, matrix) coordinates of
+    a^k - h in an algebra of the given ``shape``.  The trivial character
+    is the unit and the state's trivial coefficient is 1, so a^k - h is
+    the sum over the non-trivial characters alone: nothing is
+    subtracted, and small distances keep their relative precision.
     """
-    c = complex(c)
-    if c == 0.0:
-        return 0.0
-    r = abs(c) / d
-    theta = math.atan2(c.imag, c.real)
-    p = round(theta * n / (2.0 * math.pi))
-    root = d * complex(math.cos(2.0 * math.pi * p / n), math.sin(2.0 * math.pi * p / n))
-    if abs(c - root) <= 1e-12 * d:
-        ang = 2.0 * math.pi * ((p * k) % n) / n
-        return d * complex(math.cos(ang), math.sin(ang))
-    mag = d * math.exp(k * math.log(r)) if r > 0 else 0.0
-    ang = math.fmod(k * theta, 2.0 * math.pi)
-    return mag * complex(math.cos(ang), math.sin(ang))
+
+    shape: AlgebraShape
+    keys: Sequence
+    ratios: np.ndarray
+    dims: np.ndarray
+    order: int
+    lower: np.ndarray
+    synth: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _kpn_table(a: CentralElement) -> WalkTable:
+    n = a.n
+    labels = sorted(label for label in a.coeffs if label != trivial_label())
+    slots = np.array([_coeff_slot(n, label) for label in labels], dtype=int)
+    dims = np.array([float(label.dim) for label in labels])
+    ratios = np.array([a.coefficient(label) for label in labels], dtype=np.complex128) / dims
+    size = 4 * n + n * (n // 2 + 1)
+
+    def synth(c):
+        flat = np.zeros(size, dtype=np.complex128)
+        flat[slots] = c
+        return _element_arrays(n, *_split_coeffs(n, flat))
+
+    # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
+    order = math.lcm(2, n)
+    return WalkTable(AlgebraShape.sekine(n), labels, ratios, dims, order, np.ones(len(labels), bool), synth)
+
+
+def _finite(x):
+    if not np.isfinite(x).all():
+        raise OverflowError("the powers of the walk leave the floating-point range")
+    return x
+
+
+class _PowerEngine:
+    """Convolution powers, exact distance and mixing bounds of one walk.
+
+    The k-th power has coefficients a_alpha^k / d_alpha^(k-1) = d_alpha
+    r_alpha^k.  Powers are taken in polar form, |r_alpha|^k times
+    exp(i k theta_alpha), with exact phases at the roots of unity; a
+    state has |r_alpha| <= 1, so nothing overflows, and a non-finite
+    result raises OverflowError.  The same formulas serve KP_n (built
+    from a CentralElement), the Kac-Paljutkin group and the dual of KP_n
+    (built from their WalkTable):
+
+    * qtv = 1/2 ||a^k - h||_1, the L1 norm of ``algebra``;
+    * upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k));
+    * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
+    """
+
+    def __init__(self, a: CentralElement | WalkTable):
+        self.table = t = a if isinstance(a, WalkTable) else _kpn_table(a)
+        mod = np.abs(t.ratios)
+        self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)
+        self._turns = None  # the phases, set on the first power; the bounds never need them
+
+    def coefficients(self, k: int) -> np.ndarray:
+        """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
+        if k < 1:
+            raise ValueError("k must be positive")
+        t = self.table
+        if self._turns is None:
+            # phases in units of 2 pi / order, snapped to integers at roots of unity
+            turns = np.arctan2(t.ratios.imag, t.ratios.real) * (t.order / (2.0 * np.pi))
+            root = np.rint(turns)
+            self._turns = np.where(np.abs(turns - root) <= ROOT_TOL, root, turns)
+        # reducing mod order keeps the phases of roots of unity exact at every k
+        phase = np.exp((2j * np.pi / t.order) * ((self._turns * k) % t.order))
+        return _finite(t.dims * self._mod**k * phase)
+
+    def qtv(self, k: int) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab, mat = self.table.synth(self.coefficients(k))
+            return _finite(0.5 * l1_norm(AlgebraElement(self.table.shape, ab, mat)))
+
+    def lower(self, k: int) -> float:
+        return 0.5 * math.pow(float(self._mod[self.table.lower].max(initial=0.0)), k)
+
+    def upper(self, k: int) -> float:
+        # the sum is taken relative to the largest ratio, so no term overflows
+        top = float(self._mod.max(initial=0.0))
+        if top == 0.0:
+            return 0.0
+        total = float(self.table.dims**2 @ (self._mod / top) ** (2 * k))
+        return 0.5 * math.pow(top, k) * math.sqrt(total)
 
 
 def convolution_power(a: CentralElement, k: int) -> CentralElement:
-    """Coefficients of the k-th convolution power."""
-    if k < 1 or k > MAX_POWER:
-        raise ValueError(f"k must lie in 1..{MAX_POWER}")
+    """Coefficients of the k-th convolution power of a state."""
     if k == 1:
         return a
-    coeffs = {
-        label: _power_coefficient(c, label.dim, k, a.n)
-        for label, c in a.coeffs.items()
-    }
-    return CentralElement(a.n, {l: c for l, c in coeffs.items() if c != 0.0})
+    engine = _PowerEngine(a)
+    powered = zip(engine.table.keys, engine.coefficients(k))
+    return CentralElement(a.n, {trivial_label(): 1.0, **{l: complex(c) for l, c in powered if c != 0.0}})
 
 
 def qtv_to_haar(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Exact total variation distance of the k-th power to the Haar state."""
     _require_state(a, tol)
-    x = central_to_element(convolution_power(a, k))
-    return qtv_distance(x, unit(x.shape))
-
-
-def _nontrivial_ratios(a: CentralElement) -> dict[IrrepLabel, complex]:
-    out = {}
-    for label, c in a.coeffs.items():
-        if label != trivial_label():
-            out[label] = complex(c) / label.dim
-    return out
-
-
-def _ds_upper(a: CentralElement, k: int) -> float:
-    total = 0.0
-    for label, c in a.coeffs.items():
-        if label == trivial_label():
-            continue
-        m = abs(c)
-        if m == 0.0:
-            continue
-        if label.dim == 1:
-            total += 0.25 * m ** (2 * k)
-        else:
-            total += math.exp(2.0 * k * math.log(m / 2.0))
-    return math.sqrt(total)
-
-
-def _ds_lower(a: CentralElement, k: int) -> float:
-    ratios = _nontrivial_ratios(a)
-    m = max((abs(r) for r in ratios.values()), default=0.0)
-    if m == 0.0:
-        return 0.0
-    return 0.5 * math.exp(k * math.log(m)) if m < 1.0 else 0.5 * m**k
+    return _PowerEngine(a).qtv(k)
 
 
 def ds_upper_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Upper mixing bound: sqrt of the weighted power sums of |a_alpha|."""
     _require_state(a, tol)
-    return _ds_upper(a, k)
+    return _PowerEngine(a).upper(k)
 
 
 def ds_lower_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Lower mixing bound: half the k-th power of the largest ratio."""
     _require_state(a, tol)
-    return _ds_lower(a, k)
+    return _PowerEngine(a).lower(k)
+
+
+def circle_period(ratios, max_period: int, tol: float, circle_tol: float) -> int | None:
+    """Smallest asymptotic period of the powers of some coefficient ratios.
+
+    Ratios inside the unit disc die out; the period is the smallest
+    p <= max_period with |r^p - 1| <= tol for every ratio r on the
+    circle (| |r| - 1 | <= circle_tol), and None when there is none.
+    """
+    r = np.asarray(ratios, dtype=np.complex128)
+    circle = r[np.abs(np.abs(r) - 1.0) <= circle_tol]
+    for p in range(1, max_period + 1):
+        if np.all(np.abs(circle**p - 1.0) <= tol):
+            return p
+    return None
 
 
 @dataclass(frozen=True)
@@ -242,26 +311,11 @@ def detect_cycle(
 ) -> int | None:
     """Smallest asymptotic period of the coefficient powers.
 
-    Burn-in starts at max_period steps and is extended until the
-    checked bound on the transient part falls below the tolerance.
+    Computed exactly from the ratios on the unit circle (see
+    ``circle_period``); None when it exceeds max_period.
     """
     _require_state(a)
-    ratios = _nontrivial_ratios(a)
-    transient = [abs(r) for r in ratios.values() if abs(r) < 1.0 - 1e-12]
-    burn = max_period
-    m = max(transient, default=0.0)
-    if m > 0.0:
-        needed = math.ceil(math.log(tol / 10.0) / math.log(m))
-        burn = max(burn, needed)
-    if burn > MAX_POWER:
-        return None
-    base = convolution_power(a, burn)
-    x0 = central_to_element(base)
-    for p in range(1, max_period + 1):
-        xp = central_to_element(convolution_power(a, burn + p))
-        if l1_norm(xp - x0) <= tol:
-            return p
-    return None
+    return circle_period(_kpn_table(a).ratios, max_period, tol, tol)
 
 
 def classify_limit(
@@ -346,81 +400,6 @@ class WalkReport:
     cycle: int | None = None
 
 
-CLAMP = 1e-15
-
-
-class _PowerEngine:
-    """Vectorized convolution powers and distances for one driving state.
-
-    Coefficients are held as dense per-kind arrays; ratios on the unit
-    circle at stored root-of-unity angles are powered by index
-    arithmetic, everything else in polar form.
-    """
-
-    def __init__(self, a: CentralElement):
-        from .sekine import _coeff_arrays, _element_arrays
-
-        self.n = a.n
-        self._build = _element_arrays
-        arrays = _coeff_arrays(a)
-        self.parts = []
-        for c, d in zip(arrays, (1.0, 1.0, 1.0, 1.0, 2.0)):
-            ratio = np.asarray(c, dtype=np.complex128) / d
-            absr = np.abs(ratio)
-            theta = np.angle(ratio)
-            with np.errstate(divide="ignore"):
-                logr = np.where(absr > 0, np.log(np.where(absr > 0, absr, 1.0)), -np.inf)
-            p = np.round(theta * self.n / (2.0 * np.pi)).astype(int) % self.n
-            root = np.exp(2j * np.pi * p / self.n)
-            exact = np.abs(ratio - root) <= 1e-12
-            self.parts.append((d, absr, theta, logr, p, exact))
-        # moduli of the nontrivial coefficients, for the mixing bounds
-        one_dim = []
-        for c in arrays[:4]:
-            one_dim.append(np.abs(np.asarray(c)))
-        one_dim[0] = one_dim[0].copy()
-        one_dim[0][0] = 0.0  # drop the trivial representation
-        self.one_dim_mods = np.concatenate([m[m > 0] for m in one_dim])
-        x_mods = np.abs(arrays[4])
-        self.two_dim_mods = x_mods[x_mods > 0]
-        ratios = np.concatenate([self.one_dim_mods, self.two_dim_mods / 2.0])
-        self.max_ratio = float(ratios.max()) if ratios.size else 0.0
-
-    def _powered(self, k: int):
-        out = []
-        for d, absr, theta, logr, p, exact in self.parts:
-            with np.errstate(over="ignore"):
-                mag = np.where(np.isneginf(logr), 0.0, np.exp(k * logr))
-            generic = mag * np.exp(1j * (k * theta))
-            exact_val = np.exp(2j * np.pi * ((p * k) % self.n) / self.n)
-            out.append(d * np.where(exact, exact_val, generic))
-        return out
-
-    def element(self, k: int):
-        return self._build(self.n, *self._powered(k))
-
-    def qtv(self, k: int) -> float:
-        ab, mat = self.element(k)
-        n = self.n
-        total = np.abs(ab - 1.0).sum() / (2.0 * n * n)
-        total += np.linalg.svd(mat - np.eye(n), compute_uv=False).sum() / (2.0 * n)
-        return 0.5 * float(total)
-
-    def lower(self, k: int) -> float:
-        m = self.max_ratio
-        if m == 0.0:
-            return 0.0
-        return 0.5 * math.exp(k * math.log(m)) if m < 1.0 else 0.5 * m**k
-
-    def upper(self, k: int) -> float:
-        total = 0.0
-        if self.one_dim_mods.size:
-            total += 0.25 * (self.one_dim_mods ** (2 * k)).sum()
-        if self.two_dim_mods.size:
-            total += ((self.two_dim_mods / 2.0) ** (2 * k)).sum()
-        return math.sqrt(float(total))
-
-
 def walk_trace(
     a: CentralElement,
     k_max: int,
@@ -432,17 +411,7 @@ def walk_trace(
     engine = _PowerEngine(a)
     steps = []
     for k in range(1, k_max + 1):
-        q = engine.qtv(k)
-        lo = engine.lower(k)
-        up = engine.upper(k)
-        steps.append(
-            WalkStep(
-                k,
-                q if q > CLAMP else 0.0,
-                lo if lo > CLAMP else 0.0,
-                up if up > CLAMP else 0.0,
-            )
-        )
+        steps.append(WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)))
     classification = classify_limit(a, tol, max_period=max_period)
     cycle = None
     if classification.kind == "diverges":

@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgwalk.cli import (
     ConfigError,
@@ -262,3 +268,106 @@ class TestCutoff:
         rows = list(csv.DictReader(io.StringIO(out)))
         big_k = [r for r in rows if int(r["k"]) > 15**2]
         assert big_k and float(big_k[0]["qtv"]) == 0.0
+
+
+def sandwiched(lower, q, upper, rtol=1e-9):
+    """lower <= q <= upper, each up to rtol relative to the larger side."""
+    return lower <= q + rtol * max(lower, q) and q <= upper + rtol * max(q, upper)
+
+
+def run_rows(out):
+    return list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[:-1]))))
+
+
+class TestLargeK:
+    """k has no cap, and no walk overflows at large k."""
+
+    def test_cutoff_beyond_a_million_steps(self, capsys):
+        code, out, err = run_cli(["cutoff", "--n", "51", "--c", "6"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert max(int(r["k"]) for r in rows) > 10**6
+        for r in rows:
+            q, lo, us = float(r["qtv"]), float(r["lower"]), float(r["upper_sharp"])
+            assert sandwiched(lo, q, us), r
+            if int(r["k"]) >= 51**2:
+                assert sandwiched(lo, q, float(r["upper_theorem"])), r
+
+    def test_kp_run_past_k_512(self, tmp_path, capsys):
+        doc = {
+            "group": "kp",
+            "k_max": 600,
+            "coefficients": [["g1", [1, 0]], ["g2", [0.99, 0]], ["gX", [0.99, 0]]],
+        }
+        code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        rows = run_rows(out)
+        assert len(rows) == 600 and float(rows[-1]["qtv"]) > 1e-3
+        for r in rows:
+            assert sandwiched(float(r["lower"]), float(r["qtv"]), float(r["upper"])), r
+
+    def test_dual_run_with_a_large_dimension(self, tmp_path, capsys):
+        doc = {
+            "group": "kpn-dual",
+            "n": 10,
+            "k_max": 400,
+            "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.99, 0]], ["Xhat", [5, 0]]],
+        }
+        code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        rows = run_rows(out)
+        assert len(rows) == 400 and float(rows[-1]["qtv"]) > 1e-3
+        for r in rows:
+            assert sandwiched(float(r["lower"]), float(r["qtv"]), float(r["upper"])), r
+
+    def test_overflow_exits_3_without_a_traceback(self, tmp_path, capsys):
+        # coefficients above their dimension pass the dual state check, and
+        # their powers leave the floating-point range
+        doc = {"group": "kpn-dual", "n": 3, "k_max": 1200, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [2, 0]]]}
+        code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
+        assert code == 3 and "numeric failure" in err
+        assert "inf" not in out + err and "nan" not in out + err
+
+
+def main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+def shows_inf_or_nan(text):
+    return "inf" in text.lower() or "nan" in text.lower()
+
+
+class TestExitContract:
+    """Every input exits 0, 2 or 3 and prints no inf or nan."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 30).map(lambda m: 2 * m + 1),
+        c=st.floats(-8.0, 8.0, allow_nan=False),
+    )
+    def test_cutoff(self, n, c):
+        code, text = main_captured(["cutoff", "--n", str(n), "--c", repr(c)])
+        assert code in (0, 2, 3)
+        assert not shows_inf_or_nan(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        g=st.lists(st.floats(-2.5, 2.5, allow_nan=False), min_size=4, max_size=4),
+        imag=st.sampled_from([0.0, 0.0, 0.0, 1e-3]),
+        k_max=st.integers(1, 2000),
+    )
+    def test_kp_run(self, g, imag, k_max):
+        coefficients = [["g1", [1, 0]]] + [
+            [name, [v, imag]] for name, v in zip(("g2", "g3", "g4", "gX"), g)
+        ]
+        doc = {"group": "kp", "k_max": k_max, "coefficients": coefficients}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kp.json")
+            with open(path, "w") as handle:
+                json.dump(doc, handle)
+            code, text = main_captured(["run", path])
+        assert code in (0, 2, 3)
+        assert not shows_inf_or_nan(text)

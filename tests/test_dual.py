@@ -93,6 +93,25 @@ class TestIdentification:
         assert np.allclose(x.matrix, (2.0 / 3.0) * np.eye(3))
 
 
+def profile_qtv(a, k):
+    """The distance from the Fourier profile of the primal walk element.
+
+    The density against the dual Haar state has blocks 2n^2 Fhat(w)(alpha)
+    over the primal irreducibles; half its weighted trace norm minus the
+    unit density is the distance.
+    """
+    n = a.n
+    powered = {key: complex(c) ** k / a.dimension(key) ** (k - 1) for key, c in a.coeffs.items()}
+    prof = fourier_profile(dual_to_primal(DualCentralElement(n, powered)))
+    scale = 2.0 * n * n
+    total = sum(abs(scale * val - 1.0) for val in prof.scalars.values())
+    for v in genuine_x_range(n):
+        for u in range(n):
+            diff = scale * prof.blocks[(u, v)] - np.eye(2)
+            total += 2.0 * np.linalg.svd(diff, compute_uv=False).sum()
+    return 0.5 * total / scale
+
+
 class TestQtv:
     def test_pinned_single_coefficient(self):
         # one nontrivial one-dimensional coefficient pins the distance:
@@ -117,6 +136,13 @@ class TestQtv:
                     lo, up = dual_bounds(a, k)
                     q = dual_qtv_to_haar(a, k)
                     assert lo - 1e-9 <= q <= up + 1e-9
+
+    def test_distance_matches_profile_oracle(self, rng):
+        for n in range(2, 9):
+            for _ in range(6):
+                a = random_dual_state(n, rng, boundary=bool(rng.integers(2)))
+                for k in (1, 2, 5, 50):
+                    assert dual_qtv_to_haar(a, k) == pytest.approx(profile_qtv(a, k), abs=1e-12)
 
     def test_density_normalization(self, rng):
         # Plancherel check behind the distance formula: the weighted trace

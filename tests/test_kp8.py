@@ -123,6 +123,16 @@ class TestConvolution:
                 q = kp_qtv_to_haar(g, k)
                 assert lo - 1e-9 <= q <= up + 1e-9
 
+    def test_distance_matches_element_oracle(self, rng):
+        # the explicit element of the k-th power, with the unit subtracted
+        for _ in range(50):
+            g = random_valid_kp(rng)
+            _, g2, g3, g4, gx = g.as_tuple()
+            for k in (1, 2, 5, 50):
+                powered = KPCoefficients(1.0, g2**k, g3**k, g4**k, gx**k / 2.0 ** (k - 1))
+                oracle = 0.5 * l1_norm(kp_element(powered) - unit(KP_SHAPE))
+                assert kp_qtv_to_haar(g, k) == pytest.approx(oracle, abs=1e-12)
+
     def test_exponential_envelope(self, rng):
         # convergent walks decay like (sqrt(7)/2) g_m^k
         for _ in range(30):

@@ -38,6 +38,7 @@ from qgwalk.walks import (
     walk_trace,
 )
 from conftest import random_central_state
+from test_acceptance import _cosine_qtv_reference
 
 
 def eta(n):
@@ -125,6 +126,16 @@ class TestQtvToHaar:
                 for k in (1, 2, 5, 10, 25, 50):
                     q = qtv_to_haar(a, k)
                     assert ds_lower_bound(a, k) - 1e-9 <= q <= ds_upper_bound(a, k) + 1e-9
+
+    def test_tail_matches_high_precision_reference(self):
+        # distances from 1e-9 down to 3e-15 keep their relative precision:
+        # the unit is never subtracted, so nothing cancels
+        n = 51
+        a = cutoff_state(n)
+        for c in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9):
+            k = round(math.exp(c) * n * n)
+            ref = _cosine_qtv_reference(n, k)
+            assert qtv_to_haar(a, k) == pytest.approx(ref, rel=1e-9, abs=0.0), (c, k)
 
 
 class TestBounds:
