@@ -52,13 +52,24 @@ class WalkConfig:
     raw_values: list = field(default_factory=list)  # original value forms, for round-trips
 
 
+def _finite(t, path: str) -> float:
+    """A JSON number as a float; NaN, +-Infinity and overflowing ones are refused."""
+    try:
+        f = float(t)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"{path}: not a finite number")
+    return f
+
+
 def _parse_complex(value, n: int | None, path: str) -> complex:
     if isinstance(value, (int, float)):
         raise ConfigError(f"{path}: scalars must be [re, im] pairs or eta_pow objects")
     if isinstance(value, list):
         if len(value) != 2 or not all(isinstance(t, (int, float)) for t in value):
             raise ConfigError(f"{path}: expected [re, im]")
-        return complex(value[0], value[1])
+        return complex(_finite(value[0], path), _finite(value[1], path))
     if isinstance(value, dict):
         extra = set(value) - {"eta_pow", "scale"}
         if extra or "eta_pow" not in value:
@@ -70,7 +81,7 @@ def _parse_complex(value, n: int | None, path: str) -> complex:
         if not isinstance(p, int) or not isinstance(s, (int, float)):
             raise ConfigError(f"{path}: eta_pow must be an integer, scale a number")
         ang = 2.0 * math.pi * (p % n) / n
-        return complex(s) * complex(math.cos(ang), math.sin(ang))
+        return complex(_finite(s, f"{path}.scale")) * complex(math.cos(ang), math.sin(ang))
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
@@ -370,7 +381,7 @@ def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
             {
                 "spec": spec.describe(),
                 "idempotent": idem.is_idempotent_state(x, 1e-10),
-                "central": idem.is_central_functional(x, trials=50, rng=np.random.default_rng(0)),
+                "central": idem.is_central_functional(x),
             }
         )
     rows.sort(key=lambda r: json.dumps(r["spec"], sort_keys=True))
@@ -452,6 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Comma-separated values of one type; a bad token is a ConfigError."""
+    try:
+        return [kind(t) for t in text.split(",") if t]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Turn ['--c', '-2,-1'] into ['--c=-2,-1'] so argparse accepts it."""
     out = []
@@ -481,8 +500,8 @@ def main(argv=None) -> int:
         if args.command == "idempotents":
             return cmd_idempotents(args.n, args.out, stdout)
         if args.command == "cutoff":
-            n_list = [int(t) for t in args.n.split(",") if t]
-            c_list = [float(t) for t in args.c.split(",") if t]
+            n_list = _parse_list(args.n, int, "--n")
+            c_list = [_finite(c, "--c") for c in _parse_list(args.c, float, "--c")]
             return cmd_cutoff(n_list, c_list, args.out, stdout)
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:

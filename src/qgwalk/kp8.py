@@ -9,6 +9,7 @@ independent oracle for the block calculus used elsewhere.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,13 @@ def kp_element(g: KPCoefficients) -> AlgebraElement:
 
 
 def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateReport:
-    """State conditions: g1 = 1, all coefficients real, five inequalities."""
+    """State conditions: g1 = 1, all coefficients finite and real, five inequalities."""
     failures: list[tuple[str, object]] = []
     g1, g2, g3, g4, gx = g.as_tuple()
     for name, val in (("g1", g1), ("g2", g2), ("g3", g3), ("g4", g4), ("gX", gx)):
-        if abs(val.imag) > tol:
+        if not cmath.isfinite(val):
+            failures.append(("coefficient not finite", (name, val)))
+        elif abs(val.imag) > tol:
             failures.append(("coefficient not real", (name, val)))
     if abs(g1 - 1.0) > tol:
         failures.append(("normalization", g1))

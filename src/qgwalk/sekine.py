@@ -30,7 +30,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     ShapeMismatchError,
-    haar_integral,
     l2_norm,
 )
 
@@ -349,56 +348,60 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
 def fourier_block(a: CentralElement, u: int, v: int) -> np.ndarray:
     """2x2 Fourier matrix of the functional F(a) at block (u, v).
 
-    For genuine v this is a_{X(n-u, v)}/2 times the identity; v = 0 and
-    v = n/2 carry the rho and sigma pairs respectively.
+    For genuine v this is a_{X(n-u, v)}/2 times the identity.  At v = 0
+    it is [[p + m, p - m], [p - m, p + m]]/2 with p, m the coefficients at
+    rho_(n-u)^+-; at v = n/2 the same with the sigma pair and the
+    off-diagonal entries signed by (-1)^u.
     """
     n = a.n
     if not 0 <= u < n:
         raise InvalidLabelError(f"u={u} out of range for n={n}")
-    eta, _, _, _, _ = _tables(n)
-    nu = (n - u) % n
-    if v == 0:
-        p = a.coefficient(rho_plus(nu))
-        m = a.coefficient(rho_minus(nu))
-        return 0.5 * np.array([[p + m, p - m], [p - m, p + m]], dtype=np.complex128)
-    if n % 2 == 0 and v == n // 2:
-        p = a.coefficient(sigma_plus(nu))
-        m = a.coefficient(sigma_minus(nu))
-        s = (-1.0) ** u
-        return 0.5 * np.array([[p + m, s * (p - m)], [s * (p - m), p + m]], dtype=np.complex128)
-    if v in genuine_x_range(n):
-        return 0.5 * a.coefficient(x_label(nu, v)) * np.eye(2, dtype=np.complex128)
-    raise InvalidLabelError(f"v={v} out of range for n={n}")
+    if v not in block_v_range(n):
+        raise InvalidLabelError(f"v={v} out of range for n={n}")
+    return central_profile(a).blocks[u, v]
 
 
 @dataclass(frozen=True)
 class FourierProfile:
     """Fourier matrices of a functional on C(KP_n).
 
-    ``blocks`` maps (u, v) with v in 0..floor(n/2) to a 2x2 matrix;
-    ``scalars`` redundantly stores the values on the one-dimensional
-    representations.  The blocks are the source of truth for products.
+    ``blocks[u, v]`` is the 2x2 matrix at (u, v) for v in 0..floor(n/2),
+    an array of shape (n, n//2 + 1, 2, 2).  The values on the
+    one-dimensional representations live in the composite v = 0 and
+    (even n) v = n/2 blocks; ``scalars`` reads them off.
     """
 
     n: int
-    blocks: dict[tuple[int, int], np.ndarray]
-    scalars: dict[IrrepLabel, complex]
+    blocks: np.ndarray
 
     def block(self, u: int, v: int) -> np.ndarray:
-        return self.blocks[(u, v)]
+        return self.blocks[u, v]
 
-    def scalar(self, label: IrrepLabel) -> complex:
-        return self.scalars[label]
+    @property
+    def scalars(self) -> dict[IrrepLabel, complex]:
+        """Values on the one-dimensional representations, keyed by label."""
+        values = _one_dim_values(self)
+        return {
+            IrrepLabel(kind, l): complex(values[i, l])
+            for i, kind in enumerate(_ONE_DIM_KINDS[: len(values)])
+            for l in range(self.n)
+        }
 
     def allclose(self, other: "FourierProfile", tol: float = 1e-10) -> bool:
-        if self.n != other.n or self.blocks.keys() != other.blocks.keys():
-            return False
-        if any(
-            not np.allclose(self.blocks[k], other.blocks[k], atol=tol, rtol=0.0)
-            for k in self.blocks
-        ):
-            return False
-        return all(abs(self.scalars[k] - other.scalars[k]) <= tol for k in self.scalars)
+        return self.n == other.n and np.allclose(self.blocks, other.blocks, atol=tol, rtol=0.0)
+
+
+def _one_dim_values(p: FourierProfile) -> np.ndarray:
+    """Rows rho+, rho- (and sigma+, sigma- for even n) of the values at l.
+
+    rho_l^+- reads b[0, 0] +- b[0, 1] off block (l, 0), sigma_l^+- off (l, n/2).
+    """
+    n = p.n
+    rows = []
+    for v in (0, n // 2) if n % 2 == 0 else (0,):
+        b = p.blocks[:, v]
+        rows += [b[:, 0, 0] + b[:, 0, 1], b[:, 0, 0] - b[:, 0, 1]]
+    return np.array(rows)
 
 
 def fourier_profile(x: AlgebraElement) -> FourierProfile:
@@ -406,88 +409,72 @@ def fourier_profile(x: AlgebraElement) -> FourierProfile:
 
     Block (u, v) has diagonal entries w_ab * sum_{s,t} eta^(su +- tv) x_(s,t)
     and off-diagonal entries w_mat * sum_m eta^(+-mv) X_{m+u, m} with
-    1-based m; one-dimensional values are int(character * x).
+    1-based m.
     """
     n = x.shape.matrix_dim
     if x.shape != AlgebraShape.sekine(n):
         raise ValueError("element does not live in C(KP_n)")
-    eta, dft, _, _, labels = _tables(n)
+    _, dft, _, _, _ = _tables(n)
     w_ab = x.shape.weight_abelian
     w_mat = x.shape.weight_matrix
     ab = x.abelian.reshape(n, n)
     rows = np.arange(n)
+    vs = np.arange(n // 2 + 1)
     # fab[u, w] = sum_{s,t} eta^(su + tw) x[s, t] for all residues w
     fab = dft.T @ ab @ dft
     # band[u, r] = X[(r + u) % n, r]
-    band = np.array([x.matrix[(rows + u) % n, rows] for u in range(n)])
-    phase = np.exp(2j * np.pi * (rows + 1)[None, :] * np.arange(n)[:, None] / n)  # [v, m] = eta^(mv)
-    off_plus = band @ phase.T  # entry (u, v): sum_m eta^(mv) X_{m+u, m}
-    off_minus = band @ phase.conj().T
-
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for u in range(n):
-        for v in block_v_range(n):
-            blocks[(u, v)] = np.array(
-                [
-                    [w_ab * fab[u, v], w_mat * off_plus[u, v]],
-                    [w_mat * off_minus[u, v], w_ab * fab[u, (n - v) % n]],
-                ],
-                dtype=np.complex128,
-            )
-    scalars: dict[IrrepLabel, complex] = {}
-    for label in labels:
-        if label.kind == X:
-            continue
-        scalars[label] = haar_integral(character(n, label) * x)
-    return FourierProfile(n, blocks, scalars)
+    band = x.matrix[(rows[:, None] + rows[None, :]) % n, rows[None, :]]
+    phase = np.exp(2j * np.pi * np.outer(rows + 1, vs) / n)  # [m, v] = eta^(mv), 1-based m
+    blocks = np.empty((n, vs.size, 2, 2), dtype=np.complex128)
+    blocks[..., 0, 0] = w_ab * fab[:, vs]
+    blocks[..., 0, 1] = w_mat * (band @ phase)  # sum_m eta^(mv) X_{m+u, m}
+    blocks[..., 1, 0] = w_mat * (band @ phase.conj())
+    blocks[..., 1, 1] = w_ab * fab[:, (n - vs) % n]
+    return FourierProfile(n, blocks)
 
 
 def central_profile(a: CentralElement) -> FourierProfile:
-    """Fourier profile of a central element, via the closed block forms."""
+    """Fourier profile of a central element, via the closed block forms of ``fourier_block``."""
     n = a.n
-    blocks = {(u, v): fourier_block(a, u, v) for u in range(n) for v in block_v_range(n)}
-    scalars: dict[IrrepLabel, complex] = {}
-    for label in irrep_labels(n):
-        if label.kind == X:
-            continue
-        kind = label.kind
-        if kind in (SIGMA_PLUS, SIGMA_MINUS) and label.index % 2 == 1:
-            # sigma_l^+- has adjoint sigma_(-l)^-+ when l is odd
-            kind = SIGMA_MINUS if kind == SIGMA_PLUS else SIGMA_PLUS
-        scalars[label] = a.coefficient(IrrepLabel(kind, (n - label.index) % n))
-    return FourierProfile(n, blocks, scalars)
+    rp, rm, sp, sm, xv = _coeff_arrays(a)
+    _, _, _, signs, _ = _tables(n)
+    nu = (n - np.arange(n)) % n
+    diag = 0.5 * xv[nu]  # the v = 0 and v = n/2 columns of xv hold no label
+    off = np.zeros_like(diag)
+    diag[:, 0], off[:, 0] = 0.5 * (rp + rm)[nu], 0.5 * (rp - rm)[nu]
+    if n % 2 == 0:
+        diag[:, n // 2], off[:, n // 2] = 0.5 * (sp + sm)[nu], 0.5 * signs * (sp - sm)[nu]
+    blocks = np.empty((*diag.shape, 2, 2), dtype=np.complex128)
+    blocks[..., 0, 0] = blocks[..., 1, 1] = diag
+    blocks[..., 0, 1] = blocks[..., 1, 0] = off
+    return FourierProfile(n, blocks)
 
 
 def convolve(x: FourierProfile, y: FourierProfile) -> FourierProfile:
     """Profile of the convolution, x first: blockwise matrix product."""
     if x.n != y.n:
         raise ShapeMismatchError(f"n={x.n} vs n={y.n}")
-    blocks = {k: x.blocks[k] @ y.blocks[k] for k in x.blocks}
-    scalars = {k: x.scalars[k] * y.scalars[k] for k in x.scalars}
-    return FourierProfile(x.n, blocks, scalars)
+    return FourierProfile(x.n, np.matmul(x.blocks, y.blocks))
 
 
 def profile_to_central(p: FourierProfile) -> CentralElement:
-    """Recover central coefficients from a profile's block structure."""
+    """Recover central coefficients from a profile's block structure.
+
+    The coefficient at rho_l^+- is the value on rho_(n-l)^+-.  For
+    sigma the same holds with + and - swapped when l is odd, since
+    sigma_l^+- has adjoint sigma_(-l)^-+ then.
+    """
     n = p.n
-    coeffs: dict[IrrepLabel, complex] = {}
-
-    def put(label, value):
-        if abs(value) > 1e-15:
-            coeffs[label] = complex(value)
-
-    for l in range(n):
-        b = p.block((n - l) % n, 0)
-        put(rho_plus(l), b[0, 0] + b[0, 1])
-        put(rho_minus(l), b[0, 0] - b[0, 1])
+    values = _one_dim_values(p)
+    nu = (n - np.arange(n)) % n
+    flat = np.zeros(4 * n + n * (n // 2 + 1), dtype=np.complex128)
+    rp, rm, sp, sm, xv = _split_coeffs(n, flat)
+    rp[:], rm[:] = values[0, nu], values[1, nu]
     if n % 2 == 0:
-        for l in range(n):
-            u = (n - l) % n
-            b = p.block(u, n // 2)
-            s = (-1.0) ** u
-            put(sigma_plus(l), b[0, 0] + s * b[0, 1])
-            put(sigma_minus(l), b[0, 0] - s * b[0, 1])
-    for v in genuine_x_range(n):
-        for u in range(n):
-            put(x_label(u, v), 2.0 * p.block((n - u) % n, v)[0, 0])
-    return CentralElement(n, coeffs)
+        odd = nu % 2 == 1
+        sp[:] = np.where(odd, values[3, nu], values[2, nu])
+        sm[:] = np.where(odd, values[2, nu], values[3, nu])
+    vs = np.array(genuine_x_range(n), dtype=int)
+    xv[:, vs] = 2.0 * p.blocks[nu][:, vs, 0, 0]
+    slots = [(label, flat[_coeff_slot(n, label)]) for label in irrep_labels(n)]
+    return CentralElement(n, {label: complex(c) for label, c in slots if abs(c) > 1e-15})

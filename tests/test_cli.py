@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgwalk.cli import (
@@ -238,6 +240,48 @@ class TestIdempotents:
         rows = json.loads(out)
         assert not any(r["spec"].get("q") == 2 for r in rows if r["spec"]["type"] == "h_gamma_l")
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_output_matches_golden_file(self, n, capsys):
+        # tests/data/idempotents/n<N>.json pins the byte-exact output
+        golden = pathlib.Path(__file__).parent / "data" / "idempotents" / f"n{n}.json"
+        code, out, _ = run_cli(["idempotents", "--n", str(n)], capsys)
+        assert code == 0
+        assert out == golden.read_text()
+
+
+class TestNonFiniteValues:
+    """NaN, +-Infinity and numbers beyond the float range are refused with exit 2, naming the JSON path."""
+
+    KPN = {"group": "kpn", "n": 5, "k_max": 5, "coefficients": [["rho+:0", [1, 0]]]}
+    KP = {"group": "kp", "k_max": 5, "coefficients": [["g1", [1, 0]]]}
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    @pytest.mark.parametrize(
+        "doc, label, value, path",
+        [
+            pytest.param(KPN, "rho+:1", lambda bad: [bad, 0], r"\$\.coefficients\[1\]", id="kpn-re"),
+            pytest.param(KPN, "rho+:1", lambda bad: [0.5, bad], r"\$\.coefficients\[1\]", id="kpn-im"),
+            pytest.param(
+                KPN,
+                "rho+:1",
+                lambda bad: {"eta_pow": 1, "scale": bad},
+                r"\$\.coefficients\[1\]\.scale",
+                id="kpn-eta-scale",
+            ),
+            pytest.param(KP, "g2", lambda bad: [bad, 0], r"\$\.coefficients\[1\]", id="kp-re"),
+            pytest.param(KP, "gX", lambda bad: [0.5, bad], r"\$\.coefficients\[1\]", id="kp-im"),
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, command, bad, doc, label, value, path):
+        doc = {**doc, "coefficients": doc["coefficients"] + [[label, value(bad)]]}
+        code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert code == 2
+        assert re.search(path, err) and "not a finite number" in err
+        assert "nan" not in (out + err).lower()
+
 
 class TestCutoff:
     def test_sandwich_rows(self, capsys):
@@ -260,6 +304,14 @@ class TestCutoff:
         code, _, _ = run_cli(["cutoff", "--n", "3", "--c", "0", "--out", str(tmp_path)], capsys)
         assert code == 0
         assert (tmp_path / "cutoff.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n, c", [("abc", "0"), ("5", "x"), ("5.5", "0"), ("5", "nan"), ("5", "inf"), ("5", "1,-inf")]
+    )
+    def test_bad_list_token_exits_2(self, n, c, capsys):
+        code, out, err = run_cli(["cutoff", "--n", n, "--c", c], capsys)
+        assert code == 2 and err.startswith("config error: --")
+        assert out == ""
 
     def test_clamped_small_values(self, capsys):
         # deep past the threshold everything is numerically zero
@@ -336,6 +388,13 @@ def main_captured(argv):
     return code, out.getvalue() + err.getvalue()
 
 
+def int_above(token, bound):
+    try:
+        return int(token) > bound
+    except ValueError:
+        return False
+
+
 def shows_inf_or_nan(text):
     return "inf" in text.lower() or "nan" in text.lower()
 
@@ -352,6 +411,18 @@ class TestExitContract:
         code, text = main_captured(["cutoff", "--n", str(n), "--c", repr(c)])
         assert code in (0, 2, 3)
         assert not shows_inf_or_nan(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.text(max_size=12), c=st.text(max_size=12))
+    def test_cutoff_text(self, n, c):
+        # any token that parses to an n beyond 61 would only make the run
+        # slow and large, so such inputs are set aside
+        assume(all(not int_above(t, 61) for t in n.split(",")))
+        try:
+            code, _ = main_captured(["cutoff", "--n", n, "--c", c])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        assert code in (0, 2, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -22,7 +22,7 @@ from qgwalk.idempotents import (
     valid_sign_vectors,
 )
 from qgwalk.sekine import central_to_element, fourier_profile
-from conftest import random_central
+from conftest import probe_central, random_central, random_element
 
 
 def all_specs(n):
@@ -152,25 +152,25 @@ class TestCentrality:
     def test_central_element_functionals_are_central(self, rng):
         for n in (3, 4):
             a = central_to_element(random_central(n, rng))
-            assert is_central_functional(a, trials=10, rng=rng)
+            assert is_central_functional(a)
 
     def test_point_mass_off_identity_not_central(self):
         n = 4
         ab = np.zeros(n * n)
         ab[1] = 2 * n * n  # e_(0,1)
         x = AlgebraElement(AlgebraShape.sekine(n), ab, np.zeros((n, n)))
-        assert not is_central_functional(x, trials=20)
+        assert not is_central_functional(x)
 
     def test_q1_constant_tau_central(self):
         n = 5
         x = build_idempotent(HGammaLTauSpec(n, 1, 0, tuple([1] * n)), n)
-        assert is_central_functional(x, trials=20)
+        assert is_central_functional(x)
 
     def test_h_gamma_centrality_matches_reflection_symmetry(self):
         for n in (3, 4, 6):
             for members in subgroups_znxzn(n):
                 x = build_idempotent(HGammaSpec(members), n)
-                assert is_central_functional(x, trials=10) == has_reflection_symmetry(
+                assert is_central_functional(x) == has_reflection_symmetry(
                     n, members
                 ), (n, sorted(members))
 
@@ -178,7 +178,35 @@ class TestCentrality:
         for n in (4, 6, 8, 9):
             for q in (q for q in range(2, n + 1) if n % q == 0):
                 x = build_idempotent(HGammaLSpec(q, 0), n)
-                assert is_central_functional(x, trials=10) == (q == 2), (n, q)
+                assert is_central_functional(x) == (q == 2), (n, q)
+
+
+class TestCentralityOracle:
+    """The exact block test against the random commutation probe it replaced."""
+
+    def test_agrees_on_every_candidate(self, rng):
+        for n in range(2, 9):
+            for spec in all_specs(n):
+                x = build_idempotent(spec, n)
+                assert is_central_functional(x) == probe_central(x, 20, rng), (n, spec)
+
+    def test_agrees_on_kp_idempotents(self, rng):
+        from qgwalk.kp8 import pal_idempotents
+
+        for i, x in enumerate(pal_idempotents(), 1):
+            got = is_central_functional(x, group="kp")
+            assert got == probe_central(x, 20, rng, group="kp"), f"phi_{i}"
+
+    def test_agrees_on_random_elements(self, rng):
+        from qgwalk.kp8 import KP_SHAPE
+
+        for n in (3, 4, 5, 6, 7):
+            x = random_element(AlgebraShape.sekine(n), rng)
+            assert not is_central_functional(x) and not probe_central(x, 5, rng), n
+            a = central_to_element(random_central(n, rng))
+            assert is_central_functional(a) and probe_central(a, 5, rng), n
+        y = random_element(KP_SHAPE, rng)
+        assert not is_central_functional(y, group="kp") and not probe_central(y, 5, rng, group="kp")
 
 
 class TestEnumeration:
@@ -204,7 +232,7 @@ class TestEnumeration:
             for spec in enumerate_central_idempotents(n):
                 x = build_idempotent(spec, n)
                 assert is_idempotent_state(x, 1e-10)
-                assert is_central_functional(x, trials=10)
+                assert is_central_functional(x)
 
     def test_no_duplicates(self):
         for n in (2, 4, 6):

@@ -75,6 +75,16 @@ class TestValidateState:
         report = kp_validate_state(KPCoefficients(1, 0, 0, 0, 3))
         assert not report.is_state
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_rejected(self, bad):
+        for slot in range(5):
+            values = [1, 0, 0, 0, 0]
+            values[slot] = bad
+            report = kp_validate_state(KPCoefficients(*values))
+            assert not report.is_state
+            names = [w[0] for name, w in report.failures if name == "coefficient not finite"]
+            assert names == [("g1", "g2", "g3", "g4", "gX")[slot]]
+
     def test_complex_rejected(self):
         report = kp_validate_state(KPCoefficients(1, 0.5j, 0, 0, 0))
         assert not report.is_state
@@ -223,7 +233,7 @@ class TestPalIdempotents:
         # character-driven walk converges to them
         central = [True, False, False, True, True, True, True, True]
         for x, expect in zip(pal_idempotents(), central):
-            assert is_central_functional(x, trials=25, group="kp") == expect
+            assert is_central_functional(x, group="kp") == expect
 
     def test_distance_between_distinct_idempotents_positive(self):
         els = pal_idempotents()

@@ -172,6 +172,18 @@ class TestFourierProfile:
             a = random_central(n, rng)
             assert fourier_profile(central_to_element(a)).allclose(central_profile(a), 1e-10)
 
+    def test_scalars_match_character_integrals(self, rng):
+        # the one-dimensional values read off the composite blocks against
+        # an independent route: int(character * x)
+        for n in (2, 3, 4, 5, 6, 7):
+            x = random_element(AlgebraShape.sekine(n), rng)
+            scalars = fourier_profile(x).scalars
+            labels = [l for l in irrep_labels(n) if l.dim == 1]
+            assert sorted(scalars) == sorted(labels)
+            for label in labels:
+                expect = haar_integral(character(n, label) * x)
+                assert abs(scalars[label] - expect) <= 1e-12 * max(1.0, abs(expect)), (n, label)
+
     def test_point_mass_profile_is_identity(self):
         # 2n^2 e_(0,0) has every genuine block equal to the identity
         n = 5
@@ -195,11 +207,10 @@ class TestConvolve:
         n = 4
         haar = central_profile(CentralElement(n, {trivial_label(): 1.0}))
         # Haar profile: trivial scalar 1, every other block zero
-        haar_blocks = {
-            k: (0.5 * np.ones((2, 2)) if k == (0, 0) else np.zeros((2, 2)))
-            for k in haar.blocks
-        }
-        assert all(np.allclose(haar.blocks[k], haar_blocks[k]) for k in haar.blocks)
+        haar_blocks = np.zeros((n, n // 2 + 1, 2, 2))
+        haar_blocks[0, 0] = 0.5 * np.ones((2, 2))
+        assert haar.blocks.shape == haar_blocks.shape
+        assert np.allclose(haar.blocks, haar_blocks)
         s = central_profile(random_central_state(n, rng))
         left = convolve(haar, s)
         right = convolve(s, haar)
