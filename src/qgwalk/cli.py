@@ -206,49 +206,26 @@ def tolerance_of(cfg: WalkConfig) -> float:
     return DEFAULT_TOL
 
 
-def _central_element(cfg: WalkConfig) -> sk.CentralElement:
-    coeffs = {}
-    for text, value in cfg.coefficients:
-        coeffs[_parse_sekine_label(text, cfg.n, "$")] = value
-    return sk.CentralElement(cfg.n, coeffs)
-
-
-def _kp_coefficients(cfg: WalkConfig) -> kp8.KPCoefficients:
-    values = dict.fromkeys(KP_SLOTS, 0.0)
-    values.update(dict(cfg.coefficients))
-    return kp8.KPCoefficients(**values)
-
-
-def _dual_element(cfg: WalkConfig) -> du.DualCentralElement:
-    coeffs = {}
-    for text, value in cfg.coefficients:
-        coeffs[_parse_dual_label(text, cfg.n, "$")] = value
-    return du.DualCentralElement(cfg.n, coeffs)
-
-
 def _clamp(x: float) -> float:
     return 0.0 if abs(x) < CLAMP else float(x)
 
 
-def _state_failure(report: sk.StateReport, stream) -> int:
-    doc = {
-        "is_state": False,
-        "failures": [[name, repr(witness)] for name, witness in report.failures],
-    }
-    print(json.dumps(doc, sort_keys=True), file=stream)
-    return EXIT_NOT_STATE
+def _pick(doc: dict, *keys: str) -> dict:
+    return {key: doc[key] for key in keys if key in doc}
 
 
-def _spec_json(spec) -> dict | None:
-    return None if spec is None else spec.describe()
+def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
+    """The classification JSON, the ``run`` meta and the engine table of a walk.
 
-
-def _classification_json(cfg: WalkConfig, tol: float) -> dict:
+    The one place that branches on the group.  The element is built once
+    from its labels, and the classifier's state check is the only one: a
+    non-state raises NotAStateError.
+    """
     if cfg.group == "kp":
-        g = _kp_coefficients(cfg)
+        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **dict(cfg.coefficients)})
         c = kp8.kp_classify(g, tol)
-        out = {
-            "outcome": "pal" if c.kind == "pal" else c.kind,
+        doc = {
+            "outcome": c.kind,
             "branch": f"kp:{c.kind}",
             "evidence": [
                 {"label": name, "ratio_modulus": mod, "equals_one": abs(mod - 1.0) <= tol}
@@ -256,77 +233,59 @@ def _classification_json(cfg: WalkConfig, tol: float) -> dict:
             ],
         }
         if c.pal_index is not None:
-            out["index"] = c.pal_index
+            doc["index"] = c.pal_index
         if c.period is not None:
-            out["period"] = c.period
-        return out
+            doc["period"] = c.period
+        return doc, _pick(doc, "outcome", "index", "period"), kp8._kp_table(g)
     if cfg.group == "kpn-dual":
-        a = _dual_element(cfg)
+        a = du.DualCentralElement(cfg.n, {_parse_dual_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
         c = du.dual_classify(a, tol)
-        out = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
+        doc = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
         if c.epsilon is not None:
-            out["epsilon"] = c.epsilon.describe()
-        return out
-    a = _central_element(cfg)
+            doc["epsilon"] = c.epsilon.describe()
+        return doc, _pick(doc, "outcome", "epsilon"), du._dual_table(a)
+    a = sk.CentralElement(cfg.n, {_parse_sekine_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
     c = wk.classify_limit(a, tol)
-    out = {
-        "outcome": "haar" if c.kind == "haar" else (
-            c.spec.describe()["type"] if c.kind == "idempotent" else "diverges"
-        ),
+    doc = {
+        "outcome": c.kind,
         "branch": c.branch,
         "evidence": [
-            {
-                "label": str(e.label),
-                "ratio_modulus": e.ratio_modulus,
-                "equals_one": e.equals_one,
-            }
+            {"label": str(e.label), "ratio_modulus": e.ratio_modulus, "equals_one": e.equals_one}
             for e in c.evidence
         ],
     }
     if c.kind == "idempotent":
-        out["spec"] = _spec_json(c.spec)
-        desc = c.spec.describe()
-        for key in ("q", "l", "p"):
-            if key in desc:
-                out[key] = desc[key]
+        spec = c.spec.describe()
+        doc.update(_pick(spec, "q", "l", "p"), outcome=spec["type"], spec=spec)
     if c.period is not None:
-        out["period"] = c.period
+        doc["period"] = c.period
     if c.notes:
-        out["notes"] = c.notes
-    return out
+        doc["notes"] = c.notes
+    meta = _pick(doc, "outcome", "spec", "period", "branch")
+    if c.kind == "diverges":
+        meta["period"] = c.period  # kpn runs report a missing period as null
+    return doc, meta, wk._kpn_table(a)
 
 
-# Keys of the classification that ``run`` writes to its .meta.json.
-_RUN_META_KEYS = {
-    "kp": ("outcome", "index", "period"),
-    "kpn": ("outcome", "spec", "period", "branch"),
-    "kpn-dual": ("outcome", "epsilon"),
-}
+def _emit(text: str, out_path: str | None, stdout) -> None:
+    if out_path:
+        with open(out_path, "w") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text, file=stdout)
 
 
-def _engine(cfg: WalkConfig) -> wk._PowerEngine:
-    if cfg.group == "kp":
-        return wk._PowerEngine(kp8._kp_table(_kp_coefficients(cfg)))
-    if cfg.group == "kpn-dual":
-        return wk._PowerEngine(du._dual_table(_dual_element(cfg)))
-    return wk._PowerEngine(_central_element(cfg))
-
-
-def cmd_run(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
-    tol = tolerance_of(cfg)
-    path = out_path or cfg.output
-    report = _validation_report(cfg, tol)
-    if not report.is_state:
-        return _state_failure(report, stderr)
-    engine = _engine(cfg)
+def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int:
+    """``classify`` prints the classification; ``run`` writes the rows and the meta."""
+    doc, meta, table = _walk(cfg, tolerance_of(cfg))
+    if command == "classify":
+        _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
+        return EXIT_OK
+    engine = wk._PowerEngine(table)
     rows = [
         (k, _clamp(engine.qtv(k)), _clamp(engine.lower(k)), _clamp(engine.upper(k)))
         for k in range(1, cfg.k_max + 1)
     ]
-    doc = _classification_json(cfg, tol)
-    meta = {key: doc[key] for key in _RUN_META_KEYS[cfg.group] if key in doc}
-    if cfg.group == "kpn" and doc["outcome"] == "diverges":
-        meta.setdefault("period", None)  # kpn runs report a missing period as null
 
     def write_rows(handle):
         writer = csv.writer(handle, lineterminator="\n")
@@ -334,45 +293,19 @@ def cmd_run(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
         for row in rows:
             writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
 
+    path = out_path or cfg.output
     if path:
         with open(path, "w", newline="") as handle:
             write_rows(handle)
-        with open(path + ".meta.json", "w") as handle:
-            json.dump(meta, handle, sort_keys=True)
-            handle.write("\n")
     else:
         write_rows(stdout)
-        print(json.dumps(meta, sort_keys=True), file=stdout)
+    _emit(json.dumps(meta, sort_keys=True), path and path + ".meta.json", stdout)
     return EXIT_OK
-
-
-def cmd_classify(cfg: WalkConfig, out_path: str | None, stdout, stderr) -> int:
-    tol = tolerance_of(cfg)
-    try:
-        doc = _classification_json(cfg, tol)
-    except (wk.NotAStateError, ValueError) as exc:
-        report = _validation_report(cfg, tol)
-        if not report.is_state:
-            return _state_failure(report, stderr)
-        raise
-    text = json.dumps(doc, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text, file=stdout)
-    return EXIT_OK
-
-
-def _validation_report(cfg: WalkConfig, tol: float) -> sk.StateReport:
-    if cfg.group == "kp":
-        return kp8.kp_validate_state(_kp_coefficients(cfg), tol)
-    if cfg.group == "kpn-dual":
-        return du.dual_validate_state(_dual_element(cfg), tol)
-    return sk.validate_state(_central_element(cfg), tol)
 
 
 def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
+    if not 2 <= n <= idem.ENUMERATION_CAP:
+        raise ConfigError(f"--n: must be in 2..{idem.ENUMERATION_CAP}, got {n}")
     specs = idem.enumerate_central_idempotents(n)
     rows = []
     for spec in specs:
@@ -385,12 +318,7 @@ def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
             }
         )
     rows.sort(key=lambda r: json.dumps(r["spec"], sort_keys=True))
-    text = json.dumps(rows, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text, file=stdout)
+    _emit(json.dumps(rows, sort_keys=True), out_path, stdout)
     return EXIT_OK
 
 
@@ -403,7 +331,7 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
                 " l = n/2 equals -1 and the walk does not converge to the Haar state"
             )
         a = wk.cutoff_state(n)
-        wk._require_state(a)
+        sk.validate_state(a).require()
         engine = wk._PowerEngine(a)
         for c in c_list:
             ks = sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
@@ -493,10 +421,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     stdout, stderr = sys.stdout, sys.stderr
     try:
-        if args.command == "run":
-            return cmd_run(_load_config(args.config), args.out, stdout, stderr)
-        if args.command == "classify":
-            return cmd_classify(_load_config(args.config), args.out, stdout, stderr)
+        if args.command in ("run", "classify"):
+            return cmd_walk(args.command, _load_config(args.config), args.out, stdout)
         if args.command == "idempotents":
             return cmd_idempotents(args.n, args.out, stdout)
         if args.command == "cutoff":
@@ -507,8 +433,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
-    except (wk.NotAStateError,) as exc:
-        print(str(exc), file=stderr)
+    except sk.NotAStateError as exc:
+        failures = [[name, repr(witness)] for name, witness in exc.report.failures]
+        print(json.dumps({"is_state": False, "failures": failures}, sort_keys=True), file=stderr)
         return EXIT_NOT_STATE
     except (wk.AmbiguousBoundaryError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=stderr)

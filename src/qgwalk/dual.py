@@ -12,6 +12,7 @@ expression through the Fourier profile of the walk element.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,15 +58,17 @@ class DualCentralElement:
 
 
 def dual_validate_state(a: DualCentralElement, tol: float = DEFAULT_TOL) -> StateReport:
-    """States are exactly the real nonnegative coefficient maps with
-    unit coefficient at (0, 0)."""
+    """States are exactly the finite, real nonnegative coefficient maps
+    with unit coefficient at (0, 0)."""
     failures: list[tuple[str, object]] = []
     norm = a.coefficient((0, 0))
     if abs(norm - 1.0) > tol:
         failures.append(("normalization", norm))
     for key, c in sorted(a.coeffs.items(), key=str):
         c = complex(c)
-        if abs(c.imag) > tol:
+        if not cmath.isfinite(c):
+            failures.append(("coefficient not finite", (key, c)))
+        elif abs(c.imag) > tol:
             failures.append(("coefficient not real", (key, c)))
         elif c.real < -tol:
             failures.append(("negative coefficient", (key, c.real)))
@@ -146,12 +149,6 @@ def dual_to_primal(a: DualCentralElement) -> AlgebraElement:
     return AlgebraElement(AlgebraShape.sekine(n), ab.reshape(-1), mat)
 
 
-def _require_dual_state(a: DualCentralElement, tol: float = DEFAULT_TOL) -> None:
-    report = dual_validate_state(a, tol)
-    if not report.is_state:
-        raise ValueError(f"not a state on the dual: {report.failures}")
-
-
 def dual_qtv_to_haar(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Exact distance of the k-th dual convolution power to the dual Haar state.
 
@@ -161,13 +158,13 @@ def dual_qtv_to_haar(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) ->
     unit density.  The distance is half the weighted trace norm of the
     difference (see ``_dual_table``).
     """
-    _require_dual_state(a, tol)
+    dual_validate_state(a, tol).require()
     return _PowerEngine(_dual_table(a)).qtv(k)
 
 
 def dual_bounds(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Lower and upper mixing bounds for the dual walk at step k."""
-    _require_dual_state(a, tol)
+    dual_validate_state(a, tol).require()
     engine = _PowerEngine(_dual_table(a))
     return engine.lower(k), engine.upper(k)
 
@@ -217,7 +214,7 @@ class DualClassification:
 
 def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> DualClassification:
     """Limit of the dual walk from the coefficient-to-dimension gaps."""
-    _require_dual_state(a, tol)
+    dual_validate_state(a, tol).require()
     n = a.n
     above = False
     hits: set[DualKey] = set()

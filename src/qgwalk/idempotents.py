@@ -31,6 +31,9 @@ from .sekine import (
     genuine_x_range,
 )
 
+# The largest n that ``enumerate_central_idempotents`` accepts by default.
+ENUMERATION_CAP = 24
+
 
 class InvalidSpecError(ValueError):
     """Parameters do not describe an idempotent state."""
@@ -320,7 +323,7 @@ def is_central_functional(x: AlgebraElement, tol: float = DEFAULT_TOL, group: st
 
 def enumerate_central_idempotents(
     n: int,
-    cap: int = 24,
+    cap: int = ENUMERATION_CAP,
     tol: float = DEFAULT_TOL,
 ) -> list[IdempotentSpec]:
     """All idempotent-state parameters whose functional is central.

@@ -148,9 +148,7 @@ def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
 
 def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
     """Lower and upper mixing bounds at step k."""
-    report = kp_validate_state(g)
-    if not report.is_state:
-        raise ValueError(f"not a state: {report.failures}")
+    kp_validate_state(g).require()
     engine = _PowerEngine(_kp_table(g))
     return engine.lower(k), engine.upper(k)
 
@@ -223,9 +221,7 @@ class KPClassification:
 
 def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification:
     """Decide the limit of the walk driven by g among the phi_i."""
-    report = kp_validate_state(g, tol)
-    if not report.is_state:
-        raise ValueError(f"not a state: {report.failures}")
+    kp_validate_state(g, tol).require()
     _, g2, g3, g4, gx = (v.real for v in g.as_tuple())
     evidence = {"g2": abs(g2), "g3": abs(g3), "g4": abs(g4), "gX/2": abs(gx) / 2.0}
 

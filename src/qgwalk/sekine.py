@@ -20,6 +20,7 @@ wrapped mod n, i.e. 0-based row r and column (r + l) % n; the sign
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -313,14 +314,35 @@ class StateReport:
     is_state: bool
     failures: list[tuple[str, object]] = field(default_factory=list)
 
+    def require(self) -> None:
+        """Raise NotAStateError unless the report describes a state."""
+        if not self.is_state:
+            raise NotAStateError(self)
+
+
+class NotAStateError(ValueError):
+    """The driving coefficients do not define a state; ``report`` says why.
+
+    The one way in which KP_n, KP and the dual refuse a non-state.
+    """
+
+    def __init__(self, report: StateReport):
+        super().__init__(f"not a state: {report.failures}")
+        self.report = report
+
 
 def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     """Check that F(a) is a state.
 
-    Requires the trivial coefficient to be 1, all abelian coordinates
-    real and nonnegative, and the matrix block positive semi-definite.
+    Requires every coefficient to be finite, the trivial coefficient to
+    be 1, all abelian coordinates real and nonnegative, and the matrix
+    block positive semi-definite.
     """
-    failures: list[tuple[str, object]] = []
+    failures: list[tuple[str, object]] = [
+        ("coefficient not finite", (str(l), complex(c))) for l, c in a.coeffs.items() if not cmath.isfinite(c)
+    ]
+    if failures:
+        return StateReport(False, failures)
     norm = a.coefficient(trivial_label())
     if abs(norm - 1.0) > tol:
         failures.append(("normalization", norm))

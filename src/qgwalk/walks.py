@@ -39,6 +39,7 @@ from .idempotents import (
 from .sekine import (
     CentralElement,
     IrrepLabel,
+    NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     _coeff_slot,
     _element_arrays,
     _split_coeffs,
@@ -53,19 +54,14 @@ from .sekine import (
 # exactly there, so boundary walks do not drift off the circle.
 ROOT_TOL = 1e-12
 
-
-class NotAStateError(ValueError):
-    """The driving coefficients do not define a state."""
+# Ratios within CYCLE_TOL of the unit circle count as on it when a
+# divergent walk's period is computed, and r^p within CYCLE_TOL of 1
+# closes a period.
+CYCLE_TOL = 1e-8
 
 
 class AmbiguousBoundaryError(RuntimeError):
     """A ratio sits too close to the unit circle to classify reliably."""
-
-
-def _require_state(a: CentralElement, tol: float = DEFAULT_TOL) -> None:
-    report = validate_state(a, tol)
-    if not report.is_state:
-        raise NotAStateError(f"not a state: {report.failures}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +143,14 @@ class _PowerEngine:
             # phases in units of 2 pi / order, snapped to integers at roots of unity
             turns = np.arctan2(t.ratios.imag, t.ratios.real) * (t.order / (2.0 * np.pi))
             root = np.rint(turns)
-            self._turns = np.where(np.abs(turns - root) <= ROOT_TOL, root, turns)
-        # reducing mod order keeps the phases of roots of unity exact at every k
-        phase = np.exp((2j * np.pi / t.order) * ((self._turns * k) % t.order))
-        return _finite(t.dims * self._mod**k * phase)
+            self._exact = np.abs(turns - root) <= ROOT_TOL
+            self._turns = np.where(self._exact, root, turns)
+        size = t.dims * self._mod**k
+        # Integer turns take k reduced mod order in integer arithmetic, so
+        # roots of unity stay exact at every k; so do powers that are 0,
+        # whose phase does not matter and must not overflow.
+        steps = np.where(self._exact | (size == 0.0), k % t.order, float(k))
+        return _finite(size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order)))
 
     def qtv(self, k: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -180,19 +180,19 @@ def convolution_power(a: CentralElement, k: int) -> CentralElement:
 
 def qtv_to_haar(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Exact total variation distance of the k-th power to the Haar state."""
-    _require_state(a, tol)
+    validate_state(a, tol).require()
     return _PowerEngine(a).qtv(k)
 
 
 def ds_upper_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Upper mixing bound: sqrt of the weighted power sums of |a_alpha|."""
-    _require_state(a, tol)
+    validate_state(a, tol).require()
     return _PowerEngine(a).upper(k)
 
 
 def ds_lower_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Lower mixing bound: half the k-th power of the largest ratio."""
-    _require_state(a, tol)
+    validate_state(a, tol).require()
     return _PowerEngine(a).lower(k)
 
 
@@ -307,14 +307,14 @@ def _branch_name(a: CentralElement, spec: IdempotentSpec, tol: float) -> str:
 def detect_cycle(
     a: CentralElement,
     max_period: int = 16,
-    tol: float = 1e-8,
+    tol: float = CYCLE_TOL,
 ) -> int | None:
     """Smallest asymptotic period of the coefficient powers.
 
     Computed exactly from the ratios on the unit circle (see
     ``circle_period``); None when it exceeds max_period.
     """
-    _require_state(a)
+    validate_state(a).require()
     return circle_period(_kpn_table(a).ratios, max_period, tol, tol)
 
 
@@ -322,7 +322,7 @@ def classify_limit(
     a: CentralElement, tol: float = DEFAULT_TOL, max_period: int | None = None
 ) -> LimitClassification:
     """Decide convergence and identify the limit state if one exists."""
-    _require_state(a, tol)
+    validate_state(a, tol).require()
     evidence = _evidence(a, tol)
     notes: list[str] = []
     if a.n == 2 and any(e.label.kind.startswith("sigma") for e in evidence):
@@ -334,7 +334,8 @@ def classify_limit(
             )
     divergent = [e for e in evidence if e.on_circle and not e.equals_one]
     if divergent:
-        period = detect_cycle(a, max_period=max_period or max(2 * a.n, 16))
+        ratios = [a.coefficient(e.label) / e.label.dim for e in evidence]
+        period = circle_period(ratios, max_period or max(2 * a.n, 16), CYCLE_TOL, CYCLE_TOL)
         return LimitClassification(
             "diverges", period=period, branch="boundary-divergence", evidence=evidence, notes=notes
         )
@@ -407,12 +408,9 @@ def walk_trace(
     max_period: int | None = None,
 ) -> WalkReport:
     """Record exact distance and both bounds for k = 1..k_max."""
-    _require_state(a, tol)
+    classification = classify_limit(a, tol, max_period=max_period)  # the state check
     engine = _PowerEngine(a)
-    steps = []
-    for k in range(1, k_max + 1):
-        steps.append(WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)))
-    classification = classify_limit(a, tol, max_period=max_period)
+    steps = [WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)) for k in range(1, k_max + 1)]
     cycle = None
     if classification.kind == "diverges":
         cycle = classification.period

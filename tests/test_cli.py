@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qgwalk import dual, kp8, sekine, walks
 from qgwalk.cli import (
     ConfigError,
     main,
@@ -20,6 +21,7 @@ from qgwalk.cli import (
     serialize_config,
     tolerance_of,
 )
+from qgwalk.idempotents import ENUMERATION_CAP
 
 
 def run_cli(args, capsys):
@@ -145,6 +147,49 @@ class TestRun:
         assert code == 2
         assert json.loads(err)["is_state"] is False
 
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"group": "kpn", "n": 4, "coefficients": [["rho+:0", [1, 0]], ["rho-:1", [0.5, 0.5]]]},
+            {"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [2, 0]], ["gX", [0, 0.1]]]},
+            {"group": "kpn-dual", "n": 3, "coefficients": [["e:1,0", [-0.5, 0.2]], ["Xhat", [-1, 0]]]},
+        ],
+        ids=["kpn", "kp", "kpn-dual"],
+    )
+    def test_every_group_reports_a_non_state_alike(self, tmp_path, capsys, command, doc):
+        code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["is_state"] is False and set(report) == {"is_state", "failures"}
+        assert report["failures"] and all(isinstance(name, str) and isinstance(w, str) for name, w in report["failures"])
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "doc, module, name",
+        [
+            (PHI_P_6, walks, "validate_state"),
+            (COSINE5, walks, "validate_state"),
+            ({"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [-1, 0]]]}, kp8, "kp_validate_state"),
+            ({"group": "kpn-dual", "n": 3, "coefficients": [["e:0,0", [1, 0]], ["Xhat", [3, 0]]]}, dual, "dual_validate_state"),
+        ],
+        ids=["kpn-diverges", "kpn-haar", "kp", "kpn-dual"],
+    )
+    def test_state_is_checked_once(self, tmp_path, capsys, monkeypatch, command, doc, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        if module is walks:
+            monkeypatch.setattr(sekine, name, counted)
+        code, _, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{不valid")
@@ -239,6 +284,12 @@ class TestIdempotents:
         code, out, _ = run_cli(["idempotents", "--n", "3"], capsys)
         rows = json.loads(out)
         assert not any(r["spec"].get("q") == 2 for r in rows if r["spec"]["type"] == "h_gamma_l")
+
+    @pytest.mark.parametrize("n", [ENUMERATION_CAP + 1, 1, 0, -3])
+    def test_n_out_of_range_is_a_config_error(self, n, capsys):
+        code, out, err = run_cli(["idempotents", "--n", str(n)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: --n: must be in 2..{ENUMERATION_CAP}, got {n}\n"
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_output_matches_golden_file(self, n, capsys):
@@ -372,6 +423,15 @@ class TestLargeK:
         for r in rows:
             assert sandwiched(float(r["lower"]), float(r["qtv"]), float(r["upper"])), r
 
+    def test_cutoff_with_k_beyond_the_float_range_of_its_phases(self, capsys):
+        # k = round(e^700 61^2) is about 3.8e307: k times a phase is not a finite float
+        code, out, err = run_cli(["cutoff", "--n", "61", "--c", "700"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert int(rows[0]["k"]) == 1 and int(rows[1]["k"]) > 10**307
+        assert sandwiched(float(rows[0]["lower"]), float(rows[0]["qtv"]), float(rows[0]["upper_sharp"]))
+        assert [float(rows[1][key]) for key in ("qtv", "lower", "upper_sharp", "upper_theorem")] == [0.0] * 4
+
     def test_overflow_exits_3_without_a_traceback(self, tmp_path, capsys):
         # coefficients above their dimension pass the dual state check, and
         # their powers leave the floating-point range
@@ -397,6 +457,70 @@ def int_above(token, bound):
 
 def shows_inf_or_nan(text):
     return "inf" in text.lower() or "nan" in text.lower()
+
+
+# Label texts that name no representation, for either group.
+BAD_LABELS = ["tau:1", "rho+", "rho+:x", "X:1", "X:a,b", "e:1", "e:a,b", "Xhat:1", ""]
+
+
+@st.composite
+def kpn_configs(draw):
+    """kpn walk configs: states of two families mixed with the Haar state, and arbitrary coefficients."""
+    n = draw(st.integers(2, 12))
+    family = draw(st.sampled_from(["cosine", "phase", "arbitrary"]))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    if family == "cosine":
+        rest = [[f"rho+:{l}", [t * math.cos(2 * math.pi * l / n), 0]] for l in range(1, n)]
+    elif family == "phase":
+        # sum_l eta^(ml) rho_l^+ is a state for every m
+        m = draw(st.integers(0, n - 1))
+        rest = [[f"rho+:{l}", {"eta_pow": m * l, "scale": t}] for l in range(1, n)]
+    else:
+        label = st.one_of(
+            st.builds("{}:{}".format, st.sampled_from(["rho+", "rho-", "sigma+", "sigma-"]), st.integers(-1, n)),
+            st.builds("X:{},{}".format, st.integers(-1, n), st.integers(-1, n // 2 + 1)),
+            st.sampled_from(BAD_LABELS),
+        )
+        value = st.one_of(
+            st.tuples(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.0, 0.3])).map(list),
+            st.builds(lambda p, s: {"eta_pow": p, "scale": s}, st.integers(-n, 2 * n), st.floats(0.0, 1.2)),
+        )
+        rest = draw(st.lists(st.tuples(label, value).map(list), max_size=6, unique_by=lambda c: c[0]))
+    head = draw(st.sampled_from([[["rho+:0", [1, 0]]], [["rho+:0", [0.5, 0]]], []]))
+    return {"group": "kpn", "n": n, "k_max": draw(st.integers(1, 200)), "coefficients": head + rest}
+
+
+@st.composite
+def dual_configs(draw):
+    """kpn-dual walk configs: real, complex and negative coefficients, valid and invalid labels."""
+    n = draw(st.integers(2, 12))
+    label = st.one_of(
+        st.builds("e:{},{}".format, st.integers(-1, n), st.integers(-1, n)),
+        st.just("Xhat"),
+        st.sampled_from(BAD_LABELS),
+    )
+    value = st.tuples(st.floats(-0.5, 2.5), st.sampled_from([0.0, 0.0, 0.0, 0.2])).map(list)
+    rest = draw(st.lists(st.tuples(label, value).map(list), max_size=6, unique_by=lambda c: c[0]))
+    head = draw(st.sampled_from([[["e:0,0", [1, 0]]], [["e:0,0", [1, 0]]], [["e:0,0", [2, 0]]], []]))
+    return {"group": "kpn-dual", "n": n, "k_max": draw(st.integers(1, 200)), "coefficients": head + rest}
+
+
+def assert_exit_contract(command, doc):
+    """Exit 0, 2 or 3, no traceback, no inf or nan; exit 2 explains itself."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "walk.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert not shows_inf_or_nan(out + err)
+    if code == 2:
+        assert err.startswith("config error:") or json.loads(err)["is_state"] is False
+    if code == 3:
+        assert err.startswith("numeric failure:")
 
 
 class TestExitContract:
@@ -442,3 +566,13 @@ class TestExitContract:
             code, text = main_captured(["run", path])
         assert code in (0, 2, 3)
         assert not shows_inf_or_nan(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(command=st.sampled_from(["run", "classify"]), doc=kpn_configs())
+    def test_kpn_walk(self, command, doc):
+        assert_exit_contract(command, doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(command=st.sampled_from(["run", "classify"]), doc=dual_configs())
+    def test_dual_walk(self, command, doc):
+        assert_exit_contract(command, doc)

@@ -15,7 +15,7 @@ from qgwalk.dual import (
     epsilon_to_element,
     is_pointwise_central_idempotent,
 )
-from qgwalk.sekine import fourier_profile, genuine_x_range
+from qgwalk.sekine import NotAStateError, fourier_profile, genuine_x_range
 
 
 def random_dual_state(n, rng, boundary=False):
@@ -47,6 +47,21 @@ class TestValidate:
     def test_normalization(self):
         report = dual_validate_state(DualCentralElement(3, {(0, 0): 2.0}))
         assert not report.is_state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "-inf", "nan-im"])
+    @pytest.mark.parametrize("key", [(1, 0), XHAT, (0, 0)])
+    def test_non_finite_reported(self, bad, key):
+        a = DualCentralElement(3, {(0, 0): 1.0, (2, 1): 0.5, key: bad})
+        report = dual_validate_state(a)
+        assert not report.is_state
+        assert [w[0] for name, w in report.failures if name == "coefficient not finite"] == [key]
+
+    def test_every_walk_function_refuses_with_the_report(self):
+        a = DualCentralElement(3, {(0, 0): 1.0, (1, 0): -0.5})
+        for call in (dual_classify, lambda a: dual_qtv_to_haar(a, 2), lambda a: dual_bounds(a, 2)):
+            with pytest.raises(NotAStateError) as info:
+                call(a)
+            assert info.value.report == dual_validate_state(a)
 
 
 class TestFourierValues:

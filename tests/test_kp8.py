@@ -18,6 +18,7 @@ from qgwalk.kp8 import (
     pal_idempotents,
     x_matrix_coefficients,
 )
+from qgwalk.sekine import NotAStateError
 
 
 def random_valid_kp(rng) -> KPCoefficients:
@@ -74,6 +75,13 @@ class TestValidateState:
     def test_gx_too_large(self):
         report = kp_validate_state(KPCoefficients(1, 0, 0, 0, 3))
         assert not report.is_state
+
+    def test_walk_functions_refuse_with_the_report(self):
+        g = KPCoefficients(1, 0, 0, 0, 3)
+        for call in (kp_classify, lambda g: kp_bounds(g, 2)):
+            with pytest.raises(NotAStateError) as info:
+                call(g)
+            assert info.value.report == kp_validate_state(g)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_non_finite_rejected(self, bad):

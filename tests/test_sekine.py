@@ -5,7 +5,9 @@ from qgwalk.algebra import AlgebraElement, AlgebraShape, haar_integral, unit
 from qgwalk.sekine import (
     CentralElement,
     InvalidLabelError,
+    NotAStateError,
     NotCentralError,
+    StateReport,
     central_profile,
     central_to_element,
     character,
@@ -140,6 +142,27 @@ class TestValidateState:
         report = validate_state(a)
         assert not report.is_state
         assert report.failures[0][0] == "normalization"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "-inf", "nan-im"])
+    def test_non_finite_reported(self, bad):
+        for label in (trivial_label(), rho_plus(1), x_label(1, 1)):
+            a = CentralElement(5, {trivial_label(): 1.0, rho_plus(2): 0.1, label: bad})
+            report = validate_state(a)
+            assert not report.is_state
+            assert [(name, w[0]) for name, w in report.failures] == [("coefficient not finite", str(label))]
+
+
+class TestNotAStateError:
+    def test_require_raises_with_the_report(self):
+        report = validate_state(CentralElement(3, {trivial_label(): 0.5}))
+        with pytest.raises(NotAStateError) as info:
+            report.require()
+        assert info.value.report is report
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).startswith("not a state: ")
+
+    def test_require_passes_a_state(self):
+        assert StateReport(True).require() is None
 
 
 class TestFourierBlock:

@@ -25,8 +25,10 @@ from qgwalk.sekine import (
     validate_state,
     x_label,
 )
+from qgwalk import walks
 from qgwalk.walks import (
     NotAStateError,
+    _PowerEngine,
     classify_limit,
     convolution_power,
     cutoff_bounds,
@@ -275,6 +277,44 @@ class TestDetectCycle:
     def test_none_when_period_exceeds_cap(self):
         # true period 5 is invisible with max_period 3
         assert detect_cycle(phi_p(5, 1), 3) is None
+
+    def test_classify_limit_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, *args):
+            calls.append(a)
+            return validate_state(a, *args)
+
+        monkeypatch.setattr(walks, "validate_state", counted)
+        for a, period in ((phi_p(6, 2), 3), (psi_p(9, 3), 6), (phi_p(5, 1), 5)):
+            calls.clear()
+            c = classify_limit(a)
+            assert c.kind == "diverges" and c.period == period
+            assert calls == [a]
+            assert c.period == detect_cycle(a, 2 * a.n)
+
+
+class TestHugeK:
+    """Powers at k far beyond 2^53 keep exact phases and do not overflow."""
+
+    def test_root_of_unity_phase_beyond_2_53(self):
+        engine = _PowerEngine(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0}))
+        for k in (2**53 + 1, 2**60 + 3, 10**30 + 1):
+            assert engine.coefficients(k)[0] == pytest.approx(-1.0)
+            assert engine.coefficients(k + 1)[0] == pytest.approx(1.0)
+
+    def test_order_n_roots_beyond_2_53(self):
+        n = 5
+        engine = _PowerEngine(phi_p(n, 1))
+        k = 2**55 + 2
+        expected = [eta(n) ** ((l * k) % n) for l in range(1, n)]
+        assert np.allclose(engine.coefficients(k), expected, rtol=0, atol=1e-12)
+
+    def test_decayed_power_has_no_phase(self):
+        engine = _PowerEngine(cutoff_state(61))
+        k = 10**307
+        assert np.all(engine.coefficients(k) == 0)
+        assert engine.qtv(k) == 0.0 and engine.lower(k) == 0.0 and engine.upper(k) == 0.0
 
 
 class TestCutoff:
