@@ -52,6 +52,11 @@ class WalkConfig:
     raw_values: list = field(default_factory=list)  # original value forms, for round-trips
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds; true and false are not numbers."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _finite(t, path: str) -> float:
     """A JSON number as a float; NaN, +-Infinity and overflowing ones are refused."""
     try:
@@ -67,7 +72,7 @@ def _parse_complex(value, n: int | None, path: str) -> complex:
     if isinstance(value, (int, float)):
         raise ConfigError(f"{path}: scalars must be [re, im] pairs or eta_pow objects")
     if isinstance(value, list):
-        if len(value) != 2 or not all(isinstance(t, (int, float)) for t in value):
+        if len(value) != 2 or not all(_is_number(t) for t in value):
             raise ConfigError(f"{path}: expected [re, im]")
         return complex(_finite(value[0], path), _finite(value[1], path))
     if isinstance(value, dict):
@@ -78,7 +83,7 @@ def _parse_complex(value, n: int | None, path: str) -> complex:
             raise ConfigError(f"{path}: eta_pow requires a group with a modulus n")
         p = value["eta_pow"]
         s = value.get("scale", 1)
-        if not isinstance(p, int) or not isinstance(s, (int, float)):
+        if not _is_number(p, int) or not _is_number(s):
             raise ConfigError(f"{path}: eta_pow must be an integer, scale a number")
         ang = 2.0 * math.pi * (p % n) / n
         return complex(_finite(s, f"{path}.scale")) * complex(math.cos(ang), math.sin(ang))
@@ -127,7 +132,7 @@ def parse_config(doc) -> WalkConfig:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"$: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("$: config must be a JSON object")
@@ -139,7 +144,7 @@ def parse_config(doc) -> WalkConfig:
         if n is not None:
             raise ConfigError("$.n: not allowed for group kp")
     else:
-        if not isinstance(n, int) or n < 2:
+        if not _is_number(n, int) or n < 2:
             raise ConfigError("$.n: integer >= 2 required")
     coeffs_doc = doc.get("coefficients")
     if not isinstance(coeffs_doc, list):
@@ -166,10 +171,10 @@ def parse_config(doc) -> WalkConfig:
             text_norm = "Xhat" if key == "Xhat" else f"e:{key[0]},{key[1]}"
             coefficients.append((text_norm, _parse_complex(value, n, path)))
     k_max = doc.get("k_max", 50)
-    if not isinstance(k_max, int) or k_max < 1:
+    if not _is_number(k_max, int) or k_max < 1:
         raise ConfigError("$.k_max: positive integer required")
     tolerance = doc.get("tolerance")
-    if tolerance is not None and (not isinstance(tolerance, (int, float)) or tolerance <= 0):
+    if tolerance is not None and (not _is_number(tolerance) or _finite(tolerance, "$.tolerance") <= 0):
         raise ConfigError("$.tolerance: positive number required")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -200,6 +205,8 @@ def tolerance_of(cfg: WalkConfig) -> float:
             val = float(env)
         except ValueError as exc:
             raise ConfigError(f"QGWALK_TOL: not a number ({env!r})") from exc
+        if not math.isfinite(val):
+            raise ConfigError("QGWALK_TOL: not a finite number")
         if val <= 0:
             raise ConfigError("QGWALK_TOL: must be positive")
         return val
@@ -214,6 +221,13 @@ def _pick(doc: dict, *keys: str) -> dict:
     return {key: doc[key] for key in keys if key in doc}
 
 
+def _evidence_json(evidence: list[wk.LabelEvidence]) -> list[dict]:
+    return [
+        {"label": str(e.label), "ratio_modulus": e.ratio_modulus, "equals_one": e.equals_one}
+        for e in evidence
+    ]
+
+
 def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     """The classification JSON, the ``run`` meta and the engine table of a walk.
 
@@ -224,14 +238,7 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     if cfg.group == "kp":
         g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **dict(cfg.coefficients)})
         c = kp8.kp_classify(g, tol)
-        doc = {
-            "outcome": c.kind,
-            "branch": f"kp:{c.kind}",
-            "evidence": [
-                {"label": name, "ratio_modulus": mod, "equals_one": abs(mod - 1.0) <= tol}
-                for name, mod in sorted(c.evidence.items())
-            ],
-        }
+        doc = {"outcome": c.kind, "branch": f"kp:{c.kind}", "evidence": _evidence_json(c.evidence)}
         if c.pal_index is not None:
             doc["index"] = c.pal_index
         if c.period is not None:
@@ -246,14 +253,7 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
         return doc, _pick(doc, "outcome", "epsilon"), du._dual_table(a)
     a = sk.CentralElement(cfg.n, {_parse_sekine_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
     c = wk.classify_limit(a, tol)
-    doc = {
-        "outcome": c.kind,
-        "branch": c.branch,
-        "evidence": [
-            {"label": str(e.label), "ratio_modulus": e.ratio_modulus, "equals_one": e.equals_one}
-            for e in c.evidence
-        ],
-    }
+    doc = {"outcome": c.kind, "branch": c.branch, "evidence": _evidence_json(c.evidence)}
     if c.kind == "idempotent":
         spec = c.spec.describe()
         doc.update(_pick(spec, "q", "l", "p"), outcome=spec["type"], spec=spec)
@@ -360,7 +360,7 @@ def _load_config(path: str) -> WalkConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(text)
 

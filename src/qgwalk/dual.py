@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .sekine import StateReport
 from .sekine import fourier_profile  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
-from .walks import WalkTable, _PowerEngine
+from .walks import WalkTable, _PowerEngine, classify
 
 XHAT = "Xhat"
 
@@ -213,25 +213,16 @@ class DualClassification:
 
 
 def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> DualClassification:
-    """Limit of the dual walk from the coefficient-to-dimension gaps."""
+    """Limit of the dual walk: epsilon flags the ratios at 1.
+
+    A coefficient above its dimension puts its ratio outside the disc,
+    and the walk diverges.
+    """
     dual_validate_state(a, tol).require()
-    n = a.n
-    above = False
-    hits: set[DualKey] = set()
-    for key, c in a.coeffs.items():
-        if key == (0, 0):
-            continue
-        d = a.dimension(key)
-        val = complex(c).real
-        if val > d + tol:
-            above = True
-        elif abs(val - d) <= tol:
-            hits.add(key)
-    if above:
+    c = classify(_dual_table(a), tol, a.n)
+    if c.diverges:
         return DualClassification("diverges")
-    if not hits:
+    if not c.ones:
         return DualClassification("haar")
-    abelian = {key for key in hits if key != XHAT}
-    abelian.add((0, 0))
-    eps = EpsilonVector(n, frozenset(abelian), 1 if XHAT in hits else 0)
+    eps = EpsilonVector(a.n, frozenset(c.ones - {XHAT} | {(0, 0)}), int(XHAT in c.ones))
     return DualClassification("idempotent", eps)

@@ -10,7 +10,7 @@ independent oracle for the block calculus used elsewhere.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .algebra import l1_norm  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
 from .sekine import StateReport
-from .walks import WalkTable, _PowerEngine, circle_period
+from .walks import AmbiguousBoundaryError, LabelEvidence, WalkTable, _PowerEngine, classify
 
 KP_SHAPE = AlgebraShape.kac_paljutkin()
 
@@ -58,12 +58,6 @@ _KP_DIAGONAL = np.array(
 _KP_DIAGONAL_SHAPE = AlgebraShape(8, 0, 1.0 / 8.0, 0.0)
 # The lower bound uses rho2..rho4 only.
 _KP_LOWER = np.array([True, True, True, False])
-
-# A KP ratio on the unit circle repeats with period p when
-# |r^p - 1| <= KP_PERIOD_TOL.  For real coefficients those ratios are
-# +-1, so the tolerance only has to sit between rounding (about 1e-16 p)
-# and the distance 2 between the two.
-KP_PERIOD_TOL = 1e-10
 
 
 def kp_irreps() -> dict[str, AlgebraElement]:
@@ -216,33 +210,31 @@ class KPClassification:
     pal_index: int | None = None  # 1-based index of the limit phi_i
     period: int | None = None
     immediate: bool = False  # limit already reached at k = 1
-    evidence: dict[str, float] = field(default_factory=dict)
+    evidence: list[LabelEvidence] = field(default_factory=list)  # gX is reported as its ratio gX/2
+
+
+# The limit phi_i of a convergent walk, named by the keys of the ratios at
+# 1; None is the Haar state.  The state inequalities leave no other set up
+# to the tolerance, and one that appears anyway is reported as ambiguous.
+_KP_LIMITS = {
+    frozenset(): None,
+    frozenset({"g2", "g3", "g4", "gX"}): 1,
+    frozenset({"g2", "g3", "g4"}): 4,
+    frozenset({"g4"}): 5,
+    frozenset({"g2"}): 6,
+    frozenset({"g3"}): 7,
+}
 
 
 def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification:
     """Decide the limit of the walk driven by g among the phi_i."""
     kp_validate_state(g, tol).require()
-    _, g2, g3, g4, gx = (v.real for v in g.as_tuple())
-    evidence = {"g2": abs(g2), "g3": abs(g3), "g4": abs(g4), "gX/2": abs(gx) / 2.0}
-
-    def is_one(v):
-        return abs(v - 1.0) <= tol
-
-    def is_minus_one(v):
-        return abs(v + 1.0) <= tol
-
-    if abs(gx - 2.0) <= tol:
-        return KPClassification("pal", pal_index=1, immediate=True, evidence=evidence)
-    if abs(gx + 2.0) <= tol or any(is_minus_one(v) for v in (g2, g3, g4)):
-        period = circle_period(_kp_table(g).ratios, 16, KP_PERIOD_TOL, tol)
-        return KPClassification("diverges", period=period, evidence=evidence)
-    ones = sum(1 for v in (g2, g3, g4) if is_one(v))
-    if ones >= 2:
-        return KPClassification("pal", pal_index=4, evidence=evidence)
-    if is_one(g2):
-        return KPClassification("pal", pal_index=6, evidence=evidence)
-    if is_one(g3):
-        return KPClassification("pal", pal_index=7, evidence=evidence)
-    if is_one(g4):
-        return KPClassification("pal", pal_index=5, evidence=evidence)
-    return KPClassification("haar", evidence=evidence)
+    c = classify(_kp_table(g), tol, 16)
+    evidence = [replace(e, label="gX/2") if e.label == "gX" else e for e in c.evidence]
+    if c.diverges:
+        return KPClassification("diverges", period=c.period, evidence=evidence)
+    if c.ones not in _KP_LIMITS:
+        raise AmbiguousBoundaryError(f"no idempotent state has the ratios {sorted(c.ones)} at 1")
+    index = _KP_LIMITS[c.ones]
+    kind = "haar" if index is None else "pal"
+    return KPClassification(kind, pal_index=index, immediate=index == 1, evidence=evidence)

@@ -34,6 +34,11 @@ from .algebra import (
     l2_norm,
 )
 
+# Projected coefficients below COEFF_CUTOFF in modulus are rounding noise
+# (about 1e-16 per term of O(1) coordinates), so they are dropped and an
+# absent character stays absent from the coefficient map.
+COEFF_CUTOFF = 1e-15
+
 RHO_PLUS = "rho+"
 RHO_MINUS = "rho-"
 SIGMA_PLUS = "sigma+"
@@ -285,7 +290,7 @@ def element_to_central(x: AlgebraElement, tol: float = DEFAULT_TOL, n: int | Non
     coeffs: dict[IrrepLabel, complex] = {}
 
     def put(label, value):
-        if abs(value) > 1e-15:
+        if abs(value) > COEFF_CUTOFF:
             coeffs[label] = complex(value)
 
     for l in range(n):
@@ -499,4 +504,4 @@ def profile_to_central(p: FourierProfile) -> CentralElement:
     vs = np.array(genuine_x_range(n), dtype=int)
     xv[:, vs] = 2.0 * p.blocks[nu][:, vs, 0, 0]
     slots = [(label, flat[_coeff_slot(n, label)]) for label in irrep_labels(n)]
-    return CentralElement(n, {label: complex(c) for label, c in slots if abs(c) > 1e-15})
+    return CentralElement(n, {label: complex(c) for label, c in slots if abs(c) > COEFF_CUTOFF})

@@ -38,7 +38,6 @@ from .idempotents import (
 )
 from .sekine import (
     CentralElement,
-    IrrepLabel,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     _coeff_slot,
     _element_arrays,
@@ -54,10 +53,21 @@ from .sekine import (
 # exactly there, so boundary walks do not drift off the circle.
 ROOT_TOL = 1e-12
 
-# Ratios within CYCLE_TOL of the unit circle count as on it when a
-# divergent walk's period is computed, and r^p within CYCLE_TOL of 1
-# closes a period.
+# The default tolerance of ``detect_cycle``.
 CYCLE_TOL = 1e-8
+
+# A ratio off the circle by more than tol but at most AMBIGUITY_FACTOR
+# tol is too close to call: an error in the coefficients an order of
+# magnitude above the tolerance would move it onto the circle.
+AMBIGUITY_FACTOR = 10.0
+
+# A limit has integer coefficients d_alpha, so its coordinates carry only
+# rounding error (about 1e-15) and its non-zero matrix entries are at
+# least 1: RECOGNITION_TOL tells zero from non-zero far from both, and
+# REBUILD_TOL, the L1 distance allowed between the limit and the
+# idempotent rebuilt from its spec, sits far above that rounding too.
+RECOGNITION_TOL = 1e-8
+REBUILD_TOL = 1e-6
 
 
 class AmbiguousBoundaryError(RuntimeError):
@@ -196,17 +206,14 @@ def ds_lower_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float
     return _PowerEngine(a).lower(k)
 
 
-def circle_period(ratios, max_period: int, tol: float, circle_tol: float) -> int | None:
-    """Smallest asymptotic period of the powers of some coefficient ratios.
+def circle_period(ratios, max_period: int, tol: float) -> int | None:
+    """Smallest p <= max_period with |r^p - 1| <= p tol for each given ratio r on the circle.
 
-    Ratios inside the unit disc die out; the period is the smallest
-    p <= max_period with |r^p - 1| <= tol for every ratio r on the
-    circle (| |r| - 1 | <= circle_tol), and None when there is none.
+    A ratio within tol of a p-th root of unity meets that bound; None
+    when no p does.
     """
-    r = np.asarray(ratios, dtype=np.complex128)
-    circle = r[np.abs(np.abs(r) - 1.0) <= circle_tol]
     for p in range(1, max_period + 1):
-        if np.all(np.abs(circle**p - 1.0) <= tol):
+        if all(abs(r**p - 1.0) <= p * tol for r in ratios):
             return p
     return None
 
@@ -215,10 +222,45 @@ def circle_period(ratios, max_period: int, tol: float, circle_tol: float) -> int
 class LabelEvidence:
     """Position of one coefficient ratio relative to the unit circle."""
 
-    label: IrrepLabel
+    label: object  # the key of the ratio in its WalkTable
     ratio_modulus: float
     equals_one: bool
     on_circle: bool
+
+
+@dataclass(frozen=True)
+class CircleReport:
+    """The evidence, the keys whose ratio equals 1, whether the walk diverges
+    (a ratio on the circle away from 1, or outside the disc) and the period
+    of the ratios on the circle (None past max_period or outside the disc)."""
+
+    evidence: list[LabelEvidence]
+    ones: frozenset
+    diverges: bool
+    period: int | None
+
+
+def classify(table: WalkTable, tol: float, max_period: int) -> CircleReport:
+    """Decide once, under one tolerance, which ratios are on the circle and which equal 1.
+
+    A ratio r is on the circle when | |r| - 1 | <= tol and equals one
+    when also |r - 1| <= tol; off the circle by at most AMBIGUITY_FACTOR
+    tol it raises AmbiguousBoundaryError.  Every group names its limit
+    from the keys whose ratio equals one.
+    """
+    evidence, ratios = [], table.ratios.tolist()
+    for key, r in zip(table.keys, ratios):
+        mod = abs(r)  # Python's abs: np.abs can differ in the last place, and the evidence prints it
+        on_circle = abs(mod - 1.0) <= tol
+        if not on_circle and abs(mod - 1.0) <= AMBIGUITY_FACTOR * tol:
+            raise AmbiguousBoundaryError(f"{key}: ratio modulus {mod!r} is too close to the circle")
+        evidence.append(LabelEvidence(key, mod, on_circle and abs(r - 1.0) <= tol, on_circle))
+    ones = frozenset(e.label for e in evidence if e.equals_one)
+    if any(e.ratio_modulus > 1.0 and not e.on_circle for e in evidence):
+        return CircleReport(evidence, ones, True, None)
+    period = circle_period([r for r, e in zip(ratios, evidence) if e.on_circle], max_period, tol)
+    diverges = any(e.on_circle and not e.equals_one for e in evidence)
+    return CircleReport(evidence, ones, diverges, period)
 
 
 @dataclass(frozen=True)
@@ -233,27 +275,7 @@ class LimitClassification:
     notes: list[str] = field(default_factory=list)
 
 
-def _evidence(a: CentralElement, tol: float) -> list[LabelEvidence]:
-    out = []
-    for label in sorted(a.coeffs):
-        if label == trivial_label():
-            continue
-        r = a.coefficient(label) / label.dim
-        on_circle = abs(abs(r) - 1.0) <= tol
-        out.append(LabelEvidence(label, abs(r), on_circle and abs(r - 1.0) <= tol, on_circle))
-    return out
-
-
-def _limit_element(a: CentralElement, tol: float) -> CentralElement:
-    """Coefficient map of lim a^(*k): d_alpha where the ratio is 1, else 0."""
-    coeffs = {}
-    for label, c in a.coeffs.items():
-        if abs(c / label.dim - 1.0) <= tol:
-            coeffs[label] = complex(label.dim)
-    return CentralElement(a.n, coeffs)
-
-
-def _recognize_idempotent(limit: CentralElement, tol: float = 1e-8) -> IdempotentSpec:
+def _recognize_idempotent(limit: CentralElement, tol: float = RECOGNITION_TOL) -> IdempotentSpec:
     """Match a limit element against the idempotent-state normal forms."""
     n = limit.n
     x = central_to_element(limit)
@@ -286,7 +308,7 @@ def _recognize_idempotent(limit: CentralElement, tol: float = 1e-8) -> Idempoten
             )
             spec = HGammaLTauSpec(p, q, l, tau)
     rebuilt = build_idempotent(spec, n)
-    if l1_norm(rebuilt - x) > 1e-6:
+    if l1_norm(rebuilt - x) > REBUILD_TOL:
         raise AmbiguousBoundaryError(f"reconstructed {spec} does not match the limit")
     return spec
 
@@ -312,10 +334,10 @@ def detect_cycle(
     """Smallest asymptotic period of the coefficient powers.
 
     Computed exactly from the ratios on the unit circle (see
-    ``circle_period``); None when it exceeds max_period.
+    ``classify``); None when it exceeds max_period.
     """
     validate_state(a).require()
-    return circle_period(_kpn_table(a).ratios, max_period, tol, tol)
+    return classify(_kpn_table(a), tol, max_period).period
 
 
 def classify_limit(
@@ -323,34 +345,20 @@ def classify_limit(
 ) -> LimitClassification:
     """Decide convergence and identify the limit state if one exists."""
     validate_state(a, tol).require()
-    evidence = _evidence(a, tol)
+    table = _kpn_table(a)
+    c = classify(table, tol, max_period or max(2 * a.n, 16))
     notes: list[str] = []
-    if a.n == 2 and any(e.label.kind.startswith("sigma") for e in evidence):
+    if a.n == 2 and any(label.kind.startswith("sigma") for label in table.keys):
         notes.append("n=2: sigma indices are taken mod 2, so sigma_2 denotes sigma_0")
-    for e in evidence:
-        if not e.on_circle and abs(e.ratio_modulus - 1.0) <= 10.0 * tol:
-            raise AmbiguousBoundaryError(
-                f"{e.label}: ratio modulus {e.ratio_modulus!r} is too close to the circle"
-            )
-    divergent = [e for e in evidence if e.on_circle and not e.equals_one]
-    if divergent:
-        ratios = [a.coefficient(e.label) / e.label.dim for e in evidence]
-        period = circle_period(ratios, max_period or max(2 * a.n, 16), CYCLE_TOL, CYCLE_TOL)
-        return LimitClassification(
-            "diverges", period=period, branch="boundary-divergence", evidence=evidence, notes=notes
-        )
-    boundary = [e for e in evidence if e.equals_one]
-    if not boundary:
-        return LimitClassification("haar", spec=HaarSpec(), branch="haar", evidence=evidence, notes=notes)
-    limit = _limit_element(a, tol)
+    found = {"evidence": c.evidence, "notes": notes}
+    if c.diverges:
+        return LimitClassification("diverges", period=c.period, branch="boundary-divergence", **found)
+    if not c.ones:
+        return LimitClassification("haar", spec=HaarSpec(), branch="haar", **found)
+    # lim a^(*k) has coefficient d_alpha where the ratio is 1, else 0
+    limit = CentralElement(a.n, {trivial_label(): 1.0, **{label: float(label.dim) for label in c.ones}})
     spec = _recognize_idempotent(limit)
-    return LimitClassification(
-        "idempotent",
-        spec=spec,
-        branch=_branch_name(a, spec, tol),
-        evidence=evidence,
-        notes=notes,
-    )
+    return LimitClassification("idempotent", spec=spec, branch=_branch_name(a, spec, tol), **found)
 
 
 def cutoff_state(n: int) -> CentralElement:
@@ -411,7 +419,4 @@ def walk_trace(
     classification = classify_limit(a, tol, max_period=max_period)  # the state check
     engine = _PowerEngine(a)
     steps = [WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)) for k in range(1, k_max + 1)]
-    cycle = None
-    if classification.kind == "diverges":
-        cycle = classification.period
-    return WalkReport(a.n, steps, classification, cycle)
+    return WalkReport(a.n, steps, classification, classification.period)

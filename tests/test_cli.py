@@ -61,6 +61,32 @@ PHI_P_6 = {
 }
 
 
+GOLDEN_CLASSIFY = sorted((pathlib.Path(__file__).parent / "data" / "classify").glob("*.json"))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# config-shaped documents reach the value and label parsers more often than arbitrary JSON
+_LABELS = st.sampled_from(["g1", "gX", "rho+:0", "rho-:1", "sigma+:0", "X:1,1", "X:0,3", "e:0,0", "e:1,2", "Xhat"])
+_VALUES = st.one_of(
+    JSON_VALUES,
+    st.lists(JSON_VALUES, min_size=2, max_size=2),
+    st.fixed_dictionaries({"eta_pow": JSON_VALUES}, optional={"scale": JSON_VALUES}),
+)
+CONFIG_DOCS = st.fixed_dictionaries(
+    {"group": st.sampled_from(["kp", "kpn", "kpn-dual"]) | JSON_VALUES},
+    optional={
+        "n": st.integers(-1, 7) | JSON_VALUES,
+        "coefficients": st.lists(st.tuples(_LABELS | st.text(max_size=6), _VALUES).map(list) | JSON_VALUES, max_size=4),
+        "k_max": JSON_VALUES,
+        "tolerance": JSON_VALUES,
+        "output": JSON_VALUES,
+    },
+)
+
+
 class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(json.dumps(PHI_P_6))
@@ -103,6 +129,64 @@ class TestParseConfig:
         assert tolerance_of(cfg) == 1e-9
         monkeypatch.setenv("QGWALK_TOL", "1e-7")
         assert tolerance_of(cfg) == 1e-7
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"group": "kpn", "n": True, "coefficients": []}, r"\$\.n"),
+            ({"group": "kp", "k_max": True, "coefficients": []}, r"\$\.k_max"),
+            ({"group": "kp", "tolerance": True, "coefficients": []}, r"\$\.tolerance"),
+            ({"group": "kp", "coefficients": [["g1", [True, False]]]}, r"\$\.coefficients\[0\]"),
+            ({"group": "kp", "coefficients": [["g1", [1, False]]]}, r"\$\.coefficients\[0\]"),
+            ({"group": "kpn", "n": 4, "coefficients": [["rho+:1", {"eta_pow": True}]]}, r"\$\.coefficients\[0\]"),
+            ({"group": "kpn", "n": 4, "coefficients": [["rho+:1", {"eta_pow": 1, "scale": False}]]}, r"\$\.coefficients\[0\]"),
+        ],
+        ids=["n", "k_max", "tolerance", "re-im", "im", "eta_pow", "scale"],
+    )
+    def test_booleans_are_not_numbers(self, doc, path):
+        with pytest.raises(ConfigError, match=path):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    def test_boolean_config_exits_2(self, command, tmp_path, capsys):
+        doc = {"group": "kp", "k_max": True, "tolerance": True, "coefficients": [["g1", [True, False]], ["g2", [0.5, 0]]]}
+        code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: $.")
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1" + "0" * 400], ids=["nan", "inf", "huge-int"])
+    def test_tolerance_must_be_finite(self, text):
+        # a NaN or infinite tolerance would pass every state check
+        doc = '{"group": "kp", "tolerance": %s, "coefficients": [["g1", [1, 0]], ["g2", [5, 0]]]}' % text
+        with pytest.raises(ConfigError, match=r"\$\.tolerance: not a finite number"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("env", ["nan", "inf"])
+    def test_tolerance_env_must_be_finite(self, env, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QGWALK_TOL", env)
+        doc = {"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [5, 0]]]}
+        code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", "config error: QGWALK_TOL: not a finite number\n")
+
+    def test_deeply_nested_document_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config("[" * 100000)
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"group": "kp", "output": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(JSON_VALUES, CONFIG_DOCS, CONFIG_DOCS.map(json.dumps), st.text(max_size=40), st.binary(max_size=40)))
+    def test_any_document_parses_or_is_a_config_error(self, doc):
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        assert cfg.group in ("kp", "kpn", "kpn-dual")
 
 
 class TestRun:
@@ -270,6 +354,73 @@ class TestClassify:
         assert code == 0
         parsed = json.loads(out)
         assert parsed["outcome"] == "pal" and parsed["index"] == 1
+
+    @pytest.mark.parametrize("path", GOLDEN_CLASSIFY, ids=lambda p: p.stem)
+    def test_output_matches_golden_file(self, path, tmp_path, capsys):
+        # tests/data/classify/<name>.json lists configs with their byte-exact classify output
+        for case in json.loads(path.read_text()):
+            code, out, err = run_cli(["classify", write_config(tmp_path, case["config"])], capsys)
+            assert (code, err) == (0, ""), case["name"]
+            assert out == case["classify"], case["name"]
+
+    @pytest.mark.parametrize("g2, equals_one", [(-1, False), (1, True)])
+    def test_kp_evidence_of_a_ratio_at_minus_one_or_one(self, g2, equals_one, tmp_path, capsys):
+        doc = {"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [g2, 0]]]}
+        code, out, _ = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        evidence = {e["label"]: e for e in json.loads(out)["evidence"]}
+        assert evidence["g2"] == {"label": "g2", "ratio_modulus": 1.0, "equals_one": equals_one}
+
+
+# (trivial label, a label whose ratio alone can sit anywhere in [0, 1]) per group
+BOUNDARY_LABELS = {"kpn": ("rho+:0", "rho-:0"), "kp": ("g1", "g2"), "kpn-dual": ("e:0,0", "e:1,0")}
+
+
+def _one_ratio_doc(group, ratio, **extra):
+    unit, label = BOUNDARY_LABELS[group]
+    doc = {"group": group, "coefficients": [[unit, [1, 0]], [label, [ratio, 0]]], **extra}
+    if group != "kp":
+        doc["n"] = 5
+    return doc
+
+
+class TestBoundaryPolicy:
+    """One rule decides the circle in every group: on it within tol, ambiguous up to 10 tol."""
+
+    @pytest.mark.parametrize("group", ["kpn", "kp", "kpn-dual"])
+    def test_ratio_just_inside_the_circle_is_ambiguous(self, group, tmp_path, capsys):
+        doc = _one_ratio_doc(group, 1 - 5e-9, tolerance=1e-9)
+        code, out, err = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        assert code == 3 and out == ""
+        assert "too close to the circle" in err
+
+    @pytest.mark.parametrize("group", ["kpn", "kp", "kpn-dual"])
+    def test_ratio_one_within_tolerance(self, group, tmp_path, capsys):
+        doc = _one_ratio_doc(group, 1 - 5e-10, tolerance=1e-9)
+        code, out, _ = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        assert json.loads(out)["outcome"] not in ("haar", "diverges")
+
+    def test_kp_ratio_near_minus_one_has_period_two(self, tmp_path, capsys):
+        doc = _one_ratio_doc("kp", -0.9999999995)
+        code, out, _ = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        assert code == 0
+        parsed = json.loads(out)
+        assert parsed["outcome"] == "diverges" and parsed["period"] == 2
+
+    @pytest.mark.parametrize("tolerance, period", [(1e-3, 5), (1e-4, None)])
+    def test_loose_tolerance_period_is_true(self, tolerance, period, tmp_path, capsys):
+        # |rho+:l| = 0.9995 is within 1e-3 of the circle and within 10 * 1e-4 of it:
+        # a true period 5 or ambiguous (exit 3), never the vacuous period 1
+        rotation = [[f"rho+:{l}", {"eta_pow": l, "scale": 0.9995}] for l in range(1, 5)]
+        doc = {"group": "kpn", "n": 5, "tolerance": tolerance, "coefficients": [["rho+:0", [1, 0]]] + rotation}
+        code, out, err = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        if period is None:
+            assert code == 3 and "too close to the circle" in err
+        else:
+            assert code == 0
+            parsed = json.loads(out)
+            assert parsed["outcome"] == "diverges" and parsed["period"] == period
 
 
 class TestIdempotents:
