@@ -166,18 +166,34 @@ def qtv_distance(a: AlgebraElement, b: AlgebraElement) -> float:
     return 0.5 * l1_norm(a - b)
 
 
+def positivity_failures(abelian, matrix, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:
+    """One (condition, witness) per violated positivity condition of abelian + matrix.
+
+    The abelian part must be real and nonnegative, with its worst entry
+    as witness (index into ``abelian``'s own shape); the matrix block
+    must be hermitian (witness: the largest deviation) and then positive
+    semi-definite (witness: the smallest eigenvalue).
+    """
+    failures: list[tuple[str, object]] = []
+    imag = np.abs(abelian.imag)
+    if imag.max(initial=0.0) > tol:
+        idx = np.unravel_index(imag.argmax(), abelian.shape)
+        failures.append(("abelian coefficient not real", (tuple(int(k) for k in idx), complex(abelian[idx]))))
+    rmin = abelian.real.min(initial=0.0)
+    if rmin < -tol:
+        idx = np.unravel_index(abelian.real.argmin(), abelian.shape)
+        failures.append(("negative abelian coefficient", (tuple(int(k) for k in idx), float(rmin))))
+    if matrix.size:
+        hdev = np.abs(matrix - matrix.conj().T).max()
+        if hdev > tol:
+            failures.append(("matrix not hermitian", float(hdev)))
+        else:
+            emin = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)).min())
+            if emin < -tol:
+                failures.append(("matrix not PSD", emin))
+    return failures
+
+
 def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Check positivity: real nonnegative abelian part, PSD matrix block."""
-    ab = x.abelian
-    if np.abs(ab.imag).max(initial=0.0) > tol:
-        return False
-    if ab.real.min(initial=0.0) < -tol:
-        return False
-    m = x.matrix
-    if x.shape.matrix_dim > 0:
-        if np.abs(m - m.conj().T).max() > tol:
-            return False
-        herm = 0.5 * (m + m.conj().T)
-        if np.linalg.eigvalsh(herm).min() < -tol:
-            return False
-    return True
+    return not positivity_failures(x.abelian, x.matrix, tol)

@@ -243,14 +243,14 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
             doc["index"] = c.pal_index
         if c.period is not None:
             doc["period"] = c.period
-        return doc, _pick(doc, "outcome", "index", "period"), kp8._kp_table(g)
+        return doc, _pick(doc, "outcome", "index", "period"), c.table
     if cfg.group == "kpn-dual":
         a = du.DualCentralElement(cfg.n, {_parse_dual_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
         c = du.dual_classify(a, tol)
         doc = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
         if c.epsilon is not None:
             doc["epsilon"] = c.epsilon.describe()
-        return doc, _pick(doc, "outcome", "epsilon"), du._dual_table(a)
+        return doc, _pick(doc, "outcome", "epsilon"), c.table
     a = sk.CentralElement(cfg.n, {_parse_sekine_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
     c = wk.classify_limit(a, tol)
     doc = {"outcome": c.kind, "branch": c.branch, "evidence": _evidence_json(c.evidence)}
@@ -264,7 +264,7 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     meta = _pick(doc, "outcome", "spec", "period", "branch")
     if c.kind == "diverges":
         meta["period"] = c.period  # kpn runs report a missing period as null
-    return doc, meta, wk._kpn_table(a)
+    return doc, meta, c.table
 
 
 def _emit(text: str, out_path: str | None, stdout) -> None:
@@ -330,9 +330,7 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
                 f"n={n}: the cosine walk needs odd n; for even n the coefficient at"
                 " l = n/2 equals -1 and the walk does not converge to the Haar state"
             )
-        a = wk.cutoff_state(n)
-        sk.validate_state(a).require()
-        engine = wk._PowerEngine(a)
+        engine = wk._PowerEngine(wk.cutoff_state(n))  # a state by construction
         for c in c_list:
             ks = sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
             for k in ks:

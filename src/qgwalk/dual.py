@@ -78,16 +78,13 @@ def dual_validate_state(a: DualCentralElement, tol: float = DEFAULT_TOL) -> Stat
 def dual_fourier_values(a: DualCentralElement) -> dict[DualKey, complex]:
     """Fourier values of the dual functional.
 
-    The value at e^(i,j) is the coefficient at (-i, -j); the Xhat block
-    is the scalar a_Xhat / n times the identity, recorded by its scalar.
+    The value at e^(i,j) is the coefficient at (-i, -j), read off the
+    reflected grid of ``dual_to_primal``; the Xhat block is the scalar
+    a_Xhat / n times the identity, recorded by its scalar.
     """
     n = a.n
-    values: dict[DualKey, complex] = {}
-    for i in range(n):
-        for j in range(n):
-            c = a.coefficient(((-i) % n, (-j) % n))
-            if c != 0.0:
-                values[(i, j)] = c
+    grid = dual_to_primal(a).abelian.reshape(n, n)
+    values: dict[DualKey, complex] = {(int(i), int(j)): complex(grid[i, j]) for i, j in zip(*np.nonzero(grid))}
     values[XHAT] = a.coefficient(XHAT) / n
     return values
 
@@ -186,14 +183,11 @@ def epsilon_to_element(eps: EpsilonVector) -> AlgebraElement:
 
     Pointwise powers converge coordinatewise, so the limit is the 0/1
     element supported on the reflected flags, with matrix part 0 or the
-    identity.  It is a central idempotent of the pointwise algebra.
+    identity: ``dual_to_primal`` of coefficient 1 at each flag and n at
+    a flagged Xhat.  It is a central idempotent of the pointwise algebra.
     """
-    n = eps.n
-    ab = np.zeros((n, n), dtype=np.complex128)
-    for i, j in eps.abelian:
-        ab[(-i) % n, (-j) % n] = 1.0
-    mat = float(eps.xhat) * np.eye(n, dtype=np.complex128)
-    return AlgebraElement(AlgebraShape.sekine(n), ab.reshape(-1), mat)
+    flags = DualCentralElement(eps.n, {**dict.fromkeys(eps.abelian, 1.0), XHAT: eps.n * eps.xhat})
+    return dual_to_primal(flags)
 
 
 def is_pointwise_central_idempotent(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
@@ -210,6 +204,7 @@ def is_pointwise_central_idempotent(x: AlgebraElement, tol: float = DEFAULT_TOL)
 class DualClassification:
     kind: str  # "haar" | "idempotent" | "diverges"
     epsilon: EpsilonVector | None = None
+    table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
 
 
 def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> DualClassification:
@@ -219,10 +214,11 @@ def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> DualClassi
     and the walk diverges.
     """
     dual_validate_state(a, tol).require()
-    c = classify(_dual_table(a), tol, a.n)
+    table = _dual_table(a)
+    c = classify(table, tol, a.n)
     if c.diverges:
-        return DualClassification("diverges")
+        return DualClassification("diverges", table=table)
     if not c.ones:
-        return DualClassification("haar")
+        return DualClassification("haar", table=table)
     eps = EpsilonVector(a.n, frozenset(c.ones - {XHAT} | {(0, 0)}), int(XHAT in c.ones))
-    return DualClassification("idempotent", eps)
+    return DualClassification("idempotent", eps, table)

@@ -211,6 +211,7 @@ class KPClassification:
     period: int | None = None
     immediate: bool = False  # limit already reached at k = 1
     evidence: list[LabelEvidence] = field(default_factory=list)  # gX is reported as its ratio gX/2
+    table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
 
 
 # The limit phi_i of a convergent walk, named by the keys of the ratios at
@@ -229,12 +230,13 @@ _KP_LIMITS = {
 def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification:
     """Decide the limit of the walk driven by g among the phi_i."""
     kp_validate_state(g, tol).require()
-    c = classify(_kp_table(g), tol, 16)
+    table = _kp_table(g)
+    c = classify(table, tol, 16)
     evidence = [replace(e, label="gX/2") if e.label == "gX" else e for e in c.evidence]
     if c.diverges:
-        return KPClassification("diverges", period=c.period, evidence=evidence)
+        return KPClassification("diverges", period=c.period, evidence=evidence, table=table)
     if c.ones not in _KP_LIMITS:
         raise AmbiguousBoundaryError(f"no idempotent state has the ratios {sorted(c.ones)} at 1")
     index = _KP_LIMITS[c.ones]
     kind = "haar" if index is None else "pal"
-    return KPClassification(kind, pal_index=index, immediate=index == 1, evidence=evidence)
+    return KPClassification(kind, pal_index=index, immediate=index == 1, evidence=evidence, table=table)

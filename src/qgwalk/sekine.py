@@ -32,6 +32,7 @@ from .algebra import (
     AlgebraShape,
     ShapeMismatchError,
     l2_norm,
+    positivity_failures,
 )
 
 # Projected coefficients below COEFF_CUTOFF in modulus are rounding noise
@@ -139,43 +140,11 @@ def irrep_labels(n: int) -> list[IrrepLabel]:
 
 @lru_cache(maxsize=64)
 def _tables(n: int):
-    """Cached per-n data: eta powers, DFT matrix, cosine table, labels."""
-    eta = np.exp(2j * np.pi * np.arange(n) / n)
+    """Cached per-n data: DFT matrix, cosine table, signs."""
     dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # dft[i, l] = eta^(il)
     cos = np.cos(2.0 * np.pi * np.outer(np.arange(n), np.arange(n)) / n)  # cos[j, v]
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # (-1)^index, 0-based
-    return eta, dft, cos, signs, tuple(irrep_labels(n))
-
-
-def _shift_matrix(n: int, l: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    rows = np.arange(n)
-    m[rows, (rows + l) % n] = 1.0
-    return m
-
-
-def character(n: int, label: IrrepLabel) -> AlgebraElement:
-    """The character of an irreducible representation as an algebra element."""
-    check_label(n, label)
-    shape = AlgebraShape.sekine(n)
-    eta, dft, cos, _, _ = _tables(n)
-    rows = np.arange(n)
-    if label.kind == X:
-        u, v = label.index, label.sub
-        ab = 2.0 * np.outer(dft[:, u], cos[:, v])  # entry (s, t): 2 eta^(su) cos(2 pi t v / n)
-        return AlgebraElement(shape, ab.reshape(-1), np.zeros((n, n)))
-    l = label.index
-    col = np.repeat(dft[:, l][:, None], n, axis=1)  # eta^(il), constant in j
-    sign = 1.0 if label.kind in (RHO_PLUS, SIGMA_PLUS) else -1.0
-    if label.kind in (RHO_PLUS, RHO_MINUS):
-        ab = col
-        mat = sign * _shift_matrix(n, l)
-    else:
-        parity = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # (-1)^j, j 0-based
-        ab = col * parity[None, :]
-        mat = np.zeros((n, n), dtype=np.complex128)
-        mat[rows, (rows + l) % n] = sign * (-1.0) ** (rows + 1)
-    return AlgebraElement(shape, ab.reshape(-1), mat)
+    return dft, cos, signs
 
 
 @dataclass(frozen=True)
@@ -228,7 +197,7 @@ def _coeff_arrays(a: CentralElement):
 
 def _element_arrays(n, rp, rm, sp, sm, xv):
     """Canonical coordinates (abelian n x n, matrix n x n) from per-kind arrays."""
-    eta, dft, cos, signs, _ = _tables(n)
+    dft, cos, signs = _tables(n)
     vs = np.array(genuine_x_range(n), dtype=int)
     t = np.repeat((rp + rm)[:, None], n, axis=1)
     if n % 2 == 0:
@@ -249,6 +218,11 @@ def _element_arrays(n, rp, rm, sp, sm, xv):
     return abelian, mat
 
 
+def character(n: int, label: IrrepLabel) -> AlgebraElement:
+    """The character of an irreducible representation as an algebra element."""
+    return central_to_element(CentralElement(n, {label: 1.0}))
+
+
 def central_to_element(a: CentralElement) -> AlgebraElement:
     """Expand a central element into canonical coordinates.
 
@@ -266,46 +240,15 @@ def central_to_element(a: CentralElement) -> AlgebraElement:
 def element_to_central(x: AlgebraElement, tol: float = DEFAULT_TOL, n: int | None = None) -> CentralElement:
     """Project onto the span of characters via a_alpha = int chi_alpha^* x.
 
-    Raises NotCentralError when the projection residual exceeds
-    tol * max(1, l2_norm(x)).
+    The projection reads the coefficients off the Fourier profile of x
+    (see ``profile_to_central``).  Raises NotCentralError when the
+    projection residual exceeds tol * max(1, l2_norm(x)).
     """
     if n is None:
         n = x.shape.matrix_dim
     if x.shape != AlgebraShape.sekine(n):
         raise ValueError("element does not live in C(KP_n)")
-    eta, dft, cos, signs, labels = _tables(n)
-    w_ab = x.shape.weight_abelian
-    w_mat = x.shape.weight_matrix
-    ab = x.abelian.reshape(n, n)
-    rows = np.arange(n)
-    bands = np.array([x.matrix[rows, (rows + l) % n] for l in range(n)])  # bands[l, r]
-    band_sum = bands.sum(axis=1)
-    band_alt = (bands * ((-1.0) ** (rows + 1))[None, :]).sum(axis=1)
-
-    dft_conj = dft.conj()
-    row_sums = dft_conj.T @ ab  # entry (l, j): sum_i eta^(-il) x[i, j]
-    plain = row_sums.sum(axis=1)  # sum_{i,j} eta^(-il) x[i,j]
-    alt = (row_sums * signs[None, :]).sum(axis=1)
-
-    coeffs: dict[IrrepLabel, complex] = {}
-
-    def put(label, value):
-        if abs(value) > COEFF_CUTOFF:
-            coeffs[label] = complex(value)
-
-    for l in range(n):
-        put(rho_plus(l), w_ab * plain[l] + w_mat * band_sum[l])
-        put(rho_minus(l), w_ab * plain[l] - w_mat * band_sum[l])
-    if n % 2 == 0:
-        for l in range(n):
-            put(sigma_plus(l), w_ab * alt[l] + w_mat * band_alt[l])
-            put(sigma_minus(l), w_ab * alt[l] - w_mat * band_alt[l])
-    for v in genuine_x_range(n):
-        weighted = row_sums @ cos[:, v]  # sum_j cos(2 pi j v / n) * row_sums[l, j]
-        for u in range(n):
-            put(x_label(u, v), 2.0 * w_ab * weighted[u])
-
-    result = CentralElement(n, coeffs)
+    result = profile_to_central(fourier_profile(x))
     residual = l2_norm(x - central_to_element(result))
     if residual > tol * max(1.0, l2_norm(x)):
         raise NotCentralError(f"projection residual {residual:.3e} exceeds tolerance")
@@ -340,8 +283,9 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     """Check that F(a) is a state.
 
     Requires every coefficient to be finite, the trivial coefficient to
-    be 1, all abelian coordinates real and nonnegative, and the matrix
-    block positive semi-definite.
+    be 1, and F(a) positive: all abelian coordinates real and
+    nonnegative and the matrix block positive semi-definite, as
+    ``algebra.positivity_failures`` decides.
     """
     failures: list[tuple[str, object]] = [
         ("coefficient not finite", (str(l), complex(c))) for l, c in a.coeffs.items() if not cmath.isfinite(c)
@@ -352,23 +296,7 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     if abs(norm - 1.0) > tol:
         failures.append(("normalization", norm))
     x = central_to_element(a)
-    ab = x.abelian.reshape(a.n, a.n)
-    imax = np.abs(ab.imag).max()
-    if imax > tol:
-        idx = np.unravel_index(np.abs(ab.imag).argmax(), ab.shape)
-        failures.append(("abelian coefficient not real", (tuple(int(k) for k in idx), complex(ab[idx]))))
-    rmin = ab.real.min()
-    if rmin < -tol:
-        idx = np.unravel_index(ab.real.argmin(), ab.shape)
-        failures.append(("negative abelian coefficient", (tuple(int(k) for k in idx), float(rmin))))
-    m = x.matrix
-    hdev = np.abs(m - m.conj().T).max()
-    if hdev > tol:
-        failures.append(("matrix not hermitian", float(hdev)))
-    else:
-        emin = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if emin < -tol:
-            failures.append(("matrix not PSD", emin))
+    failures += positivity_failures(x.abelian.reshape(a.n, a.n), x.matrix, tol)
     return StateReport(not failures, failures)
 
 
@@ -441,7 +369,7 @@ def fourier_profile(x: AlgebraElement) -> FourierProfile:
     n = x.shape.matrix_dim
     if x.shape != AlgebraShape.sekine(n):
         raise ValueError("element does not live in C(KP_n)")
-    _, dft, _, _, _ = _tables(n)
+    dft, _, _ = _tables(n)
     w_ab = x.shape.weight_abelian
     w_mat = x.shape.weight_matrix
     ab = x.abelian.reshape(n, n)
@@ -464,7 +392,7 @@ def central_profile(a: CentralElement) -> FourierProfile:
     """Fourier profile of a central element, via the closed block forms of ``fourier_block``."""
     n = a.n
     rp, rm, sp, sm, xv = _coeff_arrays(a)
-    _, _, _, signs, _ = _tables(n)
+    _, _, signs = _tables(n)
     nu = (n - np.arange(n)) % n
     diag = 0.5 * xv[nu]  # the v = 0 and v = n/2 columns of xv hold no label
     off = np.zeros_like(diag)
@@ -489,7 +417,9 @@ def profile_to_central(p: FourierProfile) -> CentralElement:
 
     The coefficient at rho_l^+- is the value on rho_(n-l)^+-.  For
     sigma the same holds with + and - swapped when l is odd, since
-    sigma_l^+- has adjoint sigma_(-l)^-+ then.
+    sigma_l^+- has adjoint sigma_(-l)^-+ then.  The coefficient at
+    X(u, v) is the trace b00 + b11 of block (n-u, v): the orthogonal
+    projection onto the character, which is 2 b00 on a central profile.
     """
     n = p.n
     values = _one_dim_values(p)
@@ -502,6 +432,7 @@ def profile_to_central(p: FourierProfile) -> CentralElement:
         sp[:] = np.where(odd, values[3, nu], values[2, nu])
         sm[:] = np.where(odd, values[2, nu], values[3, nu])
     vs = np.array(genuine_x_range(n), dtype=int)
-    xv[:, vs] = 2.0 * p.blocks[nu][:, vs, 0, 0]
+    genuine = p.blocks[nu][:, vs]
+    xv[:, vs] = genuine[..., 0, 0] + genuine[..., 1, 1]
     slots = [(label, flat[_coeff_slot(n, label)]) for label in irrep_labels(n)]
     return CentralElement(n, {label: complex(c) for label, c in slots if abs(c) > COEFF_CUTOFF})

@@ -53,9 +53,6 @@ from .sekine import (
 # exactly there, so boundary walks do not drift off the circle.
 ROOT_TOL = 1e-12
 
-# The default tolerance of ``detect_cycle``.
-CYCLE_TOL = 1e-8
-
 # A ratio off the circle by more than tol but at most AMBIGUITY_FACTOR
 # tol is too close to call: an error in the coefficients an order of
 # magnitude above the tolerance would move it onto the circle.
@@ -273,6 +270,7 @@ class LimitClassification:
     branch: str = ""
     evidence: list[LabelEvidence] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
 
 
 def _recognize_idempotent(limit: CentralElement, tol: float = RECOGNITION_TOL) -> IdempotentSpec:
@@ -328,16 +326,17 @@ def _branch_name(a: CentralElement, spec: IdempotentSpec, tol: float) -> str:
 
 def detect_cycle(
     a: CentralElement,
-    max_period: int = 16,
-    tol: float = CYCLE_TOL,
+    max_period: int | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> int | None:
     """Smallest asymptotic period of the coefficient powers.
 
     Computed exactly from the ratios on the unit circle (see
-    ``classify``); None when it exceeds max_period.
+    ``classify``), with the tolerance and the default max_period of
+    ``classify_limit``; None when it exceeds max_period.
     """
-    validate_state(a).require()
-    return classify(_kpn_table(a), tol, max_period).period
+    validate_state(a, tol).require()
+    return classify(_kpn_table(a), tol, max_period or max(2 * a.n, 16)).period
 
 
 def classify_limit(
@@ -350,7 +349,7 @@ def classify_limit(
     notes: list[str] = []
     if a.n == 2 and any(label.kind.startswith("sigma") for label in table.keys):
         notes.append("n=2: sigma indices are taken mod 2, so sigma_2 denotes sigma_0")
-    found = {"evidence": c.evidence, "notes": notes}
+    found = {"evidence": c.evidence, "notes": notes, "table": table}
     if c.diverges:
         return LimitClassification("diverges", period=c.period, branch="boundary-divergence", **found)
     if not c.ones:
@@ -363,6 +362,13 @@ def classify_limit(
 
 def cutoff_state(n: int) -> CentralElement:
     """The cosine-coefficient state a_{rho_l^+} = cos(2 pi l / n), odd n.
+
+    It is a state, so no caller needs to check it: the trivial
+    coefficient is cos 0 = 1; the abelian part is
+    sum_l cos(2 pi l / n) eta^(il) = (n/2)(delta_{i,1} + delta_{i,n-1}),
+    constant in j, real and nonnegative; the matrix block is the real
+    symmetric circulant with entry cos(2 pi l / n) on band l, whose
+    eigenvalues are (n/2)(delta_{w,1} + delta_{w,n-1}) >= 0.
 
     For even n the coefficient at l = n/2 would be -1 and the walk
     would not converge to the Haar state, so even n is rejected.
@@ -417,6 +423,6 @@ def walk_trace(
 ) -> WalkReport:
     """Record exact distance and both bounds for k = 1..k_max."""
     classification = classify_limit(a, tol, max_period=max_period)  # the state check
-    engine = _PowerEngine(a)
+    engine = _PowerEngine(classification.table)
     steps = [WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)) for k in range(1, k_max + 1)]
     return WalkReport(a.n, steps, classification, classification.period)

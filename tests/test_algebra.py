@@ -10,6 +10,7 @@ from qgwalk.algebra import (
     haar_integral,
     is_positive,
     l1_norm,
+    positivity_failures,
     qtv_distance,
     unit,
     zero,
@@ -115,6 +116,30 @@ class TestIsPositive:
     def test_non_hermitian_rejected(self):
         mat = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert not is_positive(kp_el([1, 1, 1, 1], mat), 1e-9)
+
+
+class TestPositivityFailures:
+    def test_positive_element_has_none(self):
+        assert positivity_failures(unit(KP).abelian, unit(KP).matrix, 1e-9) == []
+
+    def test_each_condition_names_its_worst_witness(self):
+        ab = np.array([[1.0, -0.5], [2 + 0.3j, -2.0]])
+        failures = positivity_failures(ab, np.array([[1.0, 0.2], [0.0, 1.0]]), 1e-9)
+        assert failures == [
+            ("abelian coefficient not real", ((1, 0), 2 + 0.3j)),
+            ("negative abelian coefficient", ((1, 1), -2.0)),
+            ("matrix not hermitian", 0.2),
+        ]
+
+    def test_psd_checked_only_on_a_hermitian_block(self):
+        failures = positivity_failures(np.ones(3), np.diag([1.0, -0.25]), 1e-9)
+        assert failures == [("matrix not PSD", -0.25)]
+
+    def test_tolerance_absorbs_small_violations(self):
+        assert positivity_failures(np.array([-1e-10, 1e-10j]), np.diag([-1e-10, 1.0]), 1e-9) == []
+
+    def test_empty_matrix_block(self):
+        assert positivity_failures(np.array([1.0, 0.0]), np.zeros((0, 0)), 1e-9) == []
 
 
 class TestStarAlgebraProperties:

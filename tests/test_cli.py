@@ -62,6 +62,7 @@ PHI_P_6 = {
 
 
 GOLDEN_CLASSIFY = sorted((pathlib.Path(__file__).parent / "data" / "classify").glob("*.json"))
+GOLDEN_RUN = sorted((pathlib.Path(__file__).parent / "data" / "run").glob("*.json"))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -273,6 +274,41 @@ class TestRun:
         code, _, err = run_cli([command, write_config(tmp_path, doc)], capsys)
         assert code == 0, err
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "doc, module, name",
+        [
+            (PHI_P_6, walks, "_kpn_table"),
+            (COSINE5, walks, "_kpn_table"),
+            ({"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [-1, 0]]]}, kp8, "_kp_table"),
+            ({"group": "kpn-dual", "n": 3, "coefficients": [["e:0,0", [1, 0]], ["Xhat", [3, 0]]]}, dual, "_dual_table"),
+        ],
+        ids=["kpn-diverges", "kpn-haar", "kp", "kpn-dual"],
+    )
+    def test_table_is_built_once(self, tmp_path, capsys, monkeypatch, command, doc, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+        code, _, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", GOLDEN_RUN, ids=lambda p: p.stem)
+    def test_output_matches_golden_file(self, path, tmp_path, capsys):
+        # tests/data/run/<name>.json: the configs of tests/data/classify at
+        # k_max = 30 with their byte-exact CSV and .meta.json;
+        # non-states.json: non-states of every group with exit code and stderr
+        out_path = tmp_path / "run.csv"
+        for case in json.loads(path.read_text()):
+            argv = ["run", write_config(tmp_path, case["config"]), "--out", str(out_path)]
+            code, out, err = run_cli(argv, capsys)
+            if "stderr" in case:
+                assert (code, out, err) == (case["exit"], "", case["stderr"]), case["name"]
+                continue
+            assert (code, out, err) == (0, "", ""), case["name"]
+            assert out_path.read_bytes() == case["csv"].encode(), case["name"]
+            assert (tmp_path / "run.csv.meta.json").read_bytes() == case["meta"].encode(), case["name"]
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -224,6 +224,16 @@ class TestFourierProfile:
             rec = profile_to_central(central_profile(a))
             assert rec.allclose(a, 1e-10)
 
+    def test_profile_to_central_is_the_orthogonal_projection(self, rng):
+        # on an element that is not central, every coefficient is
+        # int(chi^* x): the genuine blocks contribute their trace b00 + b11
+        for n in (2, 3, 4, 5, 6, 7):
+            x = random_element(AlgebraShape.sekine(n), rng)
+            a = profile_to_central(fourier_profile(x))
+            for label in irrep_labels(n):
+                expect = haar_integral(character(n, label).adjoint() * x)
+                assert abs(a.coefficient(label) - expect) <= 1e-12 * max(1.0, abs(expect)), (n, label)
+
 
 class TestConvolve:
     def test_haar_absorbing(self, rng):

@@ -1,21 +1,29 @@
 import math
+import sys
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgwalk import dual, kp8
 from qgwalk.algebra import l1_norm
 from qgwalk.idempotents import (
     HGammaLSpec,
     HGammaLTauSpec,
     HGammaSpec,
     build_idempotent,
+    enumerate_central_idempotents,
+    subgroups_znxzn,
 )
 from qgwalk.sekine import (
     CentralElement,
     central_profile,
     central_to_element,
     convolve,
+    element_to_central,
     profile_to_central,
     rho_minus,
     rho_plus,
@@ -27,6 +35,7 @@ from qgwalk.sekine import (
 )
 from qgwalk import walks
 from qgwalk.walks import (
+    AmbiguousBoundaryError,
     NotAStateError,
     _PowerEngine,
     classify_limit,
@@ -278,6 +287,19 @@ class TestDetectCycle:
         # true period 5 is invisible with max_period 3
         assert detect_cycle(phi_p(5, 1), 3) is None
 
+    def test_ratio_near_the_circle_is_ambiguous_as_in_classify_limit(self):
+        # a ratio 5e-9 inside the circle: one tolerance decides both the
+        # state check and the circle, so neither function calls it a period
+        a = CentralElement(4, {rho_plus(0): 1.0, rho_plus(2): -(1 - 5e-9)})
+        assert validate_state(a).is_state
+        for decide in (detect_cycle, classify_limit):
+            with pytest.raises(AmbiguousBoundaryError):
+                decide(a)
+
+    def test_default_max_period_is_that_of_classify_limit(self):
+        a = phi_p(20, 1)
+        assert detect_cycle(a) == classify_limit(a).period == 20
+
     def test_classify_limit_validates_once(self, monkeypatch):
         calls = []
 
@@ -331,6 +353,11 @@ class TestCutoff:
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             cutoff_state(4)
+
+    @pytest.mark.parametrize("n", [*range(3, 62, 2), 101, 201])
+    def test_cutoff_state_is_a_state(self, n):
+        report = validate_state(cutoff_state(n))
+        assert report.is_state, report.failures
 
     def test_bounds_high_precision_reference(self):
         # closed forms against 50-digit evaluation
@@ -391,6 +418,13 @@ class TestWalkTrace:
         assert report.classification.kind == "diverges"
         assert report.cycle == 3
 
+    def test_table_is_built_once(self, monkeypatch):
+        calls = []
+        original = walks._kpn_table
+        monkeypatch.setattr(walks, "_kpn_table", lambda a: calls.append(a) or original(a))
+        walk_trace(cutoff_state(5), 5)
+        assert len(calls) == 1
+
 
 class TestConvergenceRates:
     def test_convergent_branches_reach_their_idempotent(self):
@@ -428,3 +462,108 @@ class TestConvergenceRates:
                 continue
             for k in (1, 5, 10, 30):
                 assert qtv_to_haar(a, k) <= (a.n / math.sqrt(2.0)) * m**k + 1e-9
+
+
+# Steps at which the invariants are checked, from the first steps into the tails.
+FIBONACCI_K = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
+INVARIANT_SLACK = 1e-12
+
+
+def _at_most(x, y):
+    """x <= y up to INVARIANT_SLACK relative to the larger of the two.
+
+    Subnormal values carry no relative precision (a state 5e-324 away
+    from the Haar state has qtv 5e-324 and upper bound 0.0 at k = 1), so
+    differences below the smallest normal float are forgiven.
+    """
+    return x <= y + INVARIANT_SLACK * max(abs(x), abs(y)) + sys.float_info.min
+
+
+def assert_walk_invariants(table):
+    engine = _PowerEngine(table)
+    previous = 1.0
+    for k in FIBONACCI_K:
+        qtv, lower, upper = engine.qtv(k), engine.lower(k), engine.upper(k)
+        assert 0.0 <= qtv and _at_most(qtv, 1.0), (k, qtv)
+        assert _at_most(qtv, previous), (k, previous, qtv)
+        assert _at_most(lower, qtv) and _at_most(qtv, upper), (k, lower, qtv, upper)
+        previous = qtv
+
+
+def _weights(draw, count):
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    total = sum(w)
+    return [x / total for x in w] if total > 0 else [1.0] + [0.0] * (count - 1)
+
+
+@lru_cache(maxsize=None)
+def _kpn_idempotents(n):
+    return [element_to_central(build_idempotent(spec, n)) for spec in enumerate_central_idempotents(n)]
+
+
+@st.composite
+def kpn_states(draw):
+    """Convex combinations of a random state and central idempotent states of KP_n."""
+    n = draw(st.integers(2, 10))
+    parts = [random_central_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))]
+    parts += draw(st.lists(st.sampled_from(_kpn_idempotents(n)), max_size=3))
+    coeffs = {}
+    for w, part in zip(_weights(draw, len(parts)), parts):
+        for label, c in part.coeffs.items():
+            coeffs[label] = coeffs.get(label, 0.0) + w * c
+    return CentralElement(n, coeffs)
+
+
+@st.composite
+def kp_states(draw):
+    """Points of KP's state polytope.
+
+    The density of g is positive iff p = (1+g2+g3+g4+2gX, 1+g2+g3+g4-2gX,
+    1+g2-g3-g4, 1-g2+g3-g4, 1-g2-g3+g4) >= 0, and its Haar integral
+    (p1 + p2 + 2 p3 + 2 p4 + 2 p5)/8 is 1, so the vertices are p = 8, 8,
+    4, 4, 4 times a unit vector.
+    """
+    w = _weights(draw, 5)
+    p = [8 * w[0], 8 * w[1], 4 * w[2], 4 * w[3], 4 * w[4]]
+    s = (p[0] + p[1]) / 2  # 1 + g2 + g3 + g4
+    g2, g3, g4 = ((s + p[i]) / 2 - 1 for i in (2, 3, 4))
+    return kp8.KPCoefficients(1.0, g2, g3, g4, (p[0] - p[1]) / 4)
+
+
+_subgroups = lru_cache(maxsize=None)(subgroups_znxzn)
+
+
+@st.composite
+def dual_states(draw):
+    """Convex combinations of subgroup indicators of Z_n x Z_n, with Xhat for the whole group."""
+    n = draw(st.integers(2, 10))
+    groups = draw(st.lists(st.sampled_from(_subgroups(n)), min_size=1, max_size=3))
+    coeffs = {}
+    for w, group in zip(_weights(draw, len(groups)), groups):
+        for key in group:
+            coeffs[key] = coeffs.get(key, 0.0) + w
+        if len(group) == n * n:
+            coeffs[dual.XHAT] = coeffs.get(dual.XHAT, 0.0) + w * n
+    return dual.DualCentralElement(n, coeffs)
+
+
+class TestWalkInvariants:
+    """On genuine states of every group: 0 <= qtv <= 1, qtv non-increasing, lower <= qtv <= upper."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kpn_states())
+    def test_kpn(self, a):
+        validate_state(a).require()
+        assert_walk_invariants(walks._kpn_table(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kp_states())
+    def test_kp(self, g):
+        kp8.kp_validate_state(g).require()
+        assert_walk_invariants(kp8._kp_table(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dual_states())
+    def test_dual(self, a):
+        dual.dual_validate_state(a).require()
+        assert_walk_invariants(dual._dual_table(a))
