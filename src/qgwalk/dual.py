@@ -114,10 +114,9 @@ def _dual_table(a: DualCentralElement) -> WalkTable:
         minus = plus.copy()
         plus[0] += n * c[-1]
         minus[0] -= n * c[-1]
-        return np.concatenate([plus, minus]), np.zeros((0, 0))
+        return (np.concatenate([plus, minus]),)
 
-    shape = AlgebraShape(2 * n * n, 0, 1.0 / (2 * n * n), 0.0)
-    return WalkTable(shape, keys, ratios, dims, n, np.ones(len(keys), bool), synth)
+    return WalkTable(keys, ratios, dims, n, np.ones(len(keys), bool), synth, (1.0 / (2 * n * n),))
 
 
 def dual_power(a: DualCentralElement, k: int) -> DualCentralElement:

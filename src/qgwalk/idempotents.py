@@ -23,6 +23,7 @@ from .algebra import (
     AlgebraShape,
     haar_integral,
     is_positive,
+    positivity_failures,
     unit,
 )
 from .sekine import (
@@ -152,6 +153,13 @@ def sign_vector_dft(tau, p: int) -> np.ndarray:
     return omega @ t
 
 
+# The message for the first positivity condition that a sign vector's DFT fails.
+_SIGN_VECTOR_FAILURES = {
+    "abelian coefficient not real": "tau has a non-real Fourier value",
+    "negative abelian coefficient": "tau has a negative Fourier value",
+}
+
+
 def check_sign_vector(tau, p: int, tol: float = DEFAULT_TOL) -> None:
     """Every DFT value must be real and nonnegative.
 
@@ -161,11 +169,9 @@ def check_sign_vector(tau, p: int, tol: float = DEFAULT_TOL) -> None:
     """
     if any(t not in (1, -1) for t in tau):
         raise InvalidSpecError("tau entries must be +1 or -1")
-    d = sign_vector_dft(tau, p)
-    if np.abs(d.imag).max() > tol:
-        raise InvalidSpecError("tau has a non-real Fourier value")
-    if d.real.min() < -tol:
-        raise InvalidSpecError("tau has a negative Fourier value")
+    failures = positivity_failures(sign_vector_dft(tau, p), np.zeros((0, 0)), tol)
+    if failures:
+        raise InvalidSpecError(_SIGN_VECTOR_FAILURES[failures[0][0]])
 
 
 def valid_sign_vectors(p: int) -> list[tuple[int, ...]]:

@@ -45,8 +45,9 @@ _KP_IRREPS = {
 # The engine's view of KP: the non-trivial characters rho2, rho3, rho4,
 # chiX and their dimensions.  Every character has a diagonal matrix
 # block, so each is stored as the 8-vector of its abelian part followed
-# by its matrix diagonal, listed twice: with weight 1/8 per entry that is
-# the abelian weight 1/8 and the matrix weight 2/8 of C^4 + M_2(C).
+# by its matrix diagonal, listed twice: with weight 1/8 per entry
+# (_KP_WEIGHTS) that is the abelian weight 1/8 and the matrix weight 2/8
+# of C^4 + M_2(C).
 _KP_KEYS = ("g2", "g3", "g4", "gX")
 _KP_DIMS = np.array([1.0, 1.0, 1.0, 2.0])
 _KP_DIAGONAL = np.array(
@@ -55,7 +56,7 @@ _KP_DIAGONAL = np.array(
         for x in (_KP_IRREPS[name] for name in ("rho2", "rho3", "rho4", "chiX"))
     ]
 )
-_KP_DIAGONAL_SHAPE = AlgebraShape(8, 0, 1.0 / 8.0, 0.0)
+_KP_WEIGHTS = (1.0 / 8.0,)
 # The lower bound uses rho2..rho4 only.
 _KP_LOWER = np.array([True, True, True, False])
 
@@ -120,13 +121,13 @@ def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateRepor
     return StateReport(not failures, failures)
 
 
-def _kp_synth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return c @ _KP_DIAGONAL, np.zeros((0, 0))
+def _kp_synth(c: np.ndarray) -> tuple[np.ndarray]:
+    return (c @ _KP_DIAGONAL,)
 
 
 def _kp_table(g: KPCoefficients) -> WalkTable:
     ratios = np.array(g.as_tuple()[1:]) / _KP_DIMS
-    return WalkTable(_KP_DIAGONAL_SHAPE, _KP_KEYS, ratios, _KP_DIMS, 2, _KP_LOWER, _kp_synth)
+    return WalkTable(_KP_KEYS, ratios, _KP_DIMS, 2, _KP_LOWER, _kp_synth, _KP_WEIGHTS)
 
 
 def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:

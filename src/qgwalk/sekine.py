@@ -207,14 +207,10 @@ def _element_arrays(n, rp, rm, sp, sm, xv):
     abelian = dft @ t
 
     rows = np.arange(n)
-    band_plus = rp - rm
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for l in range(n):
-        cols = (rows + l) % n
-        vals = np.full(n, band_plus[l], dtype=np.complex128)
-        if n % 2 == 0:
-            vals = vals + (-1.0) ** (rows + 1) * (sp[l] - sm[l])
-        mat[rows, cols] += vals
+    bands = (rows[None, :] - rows[:, None]) % n  # bands[r, c] = l for column c = r + l
+    mat = (rp - rm)[bands]
+    if n % 2 == 0:
+        mat = mat - signs[:, None] * (sp - sm)[bands]  # (-1)^(r+1) with 0-based row r
     return abelian, mat
 
 

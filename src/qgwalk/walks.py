@@ -22,7 +22,6 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
-    AlgebraElement,
     AlgebraShape,
     l1_norm,
 )
@@ -37,10 +36,13 @@ from .idempotents import (
     is_subgroup,
 )
 from .sekine import (
+    RHO_MINUS,
+    RHO_PLUS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     CentralElement,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     _coeff_slot,
-    _element_arrays,
     _split_coeffs,
     central_to_element,
     rho_plus,
@@ -79,38 +81,113 @@ class WalkTable:
     ``keys``, with dimensions ``dims``; ``lower`` marks the ratios that
     enter the lower bound.  Phases that are ``order``-th roots of unity
     are powered exactly.  ``synth`` maps the powered coefficients
-    a_alpha^k / d_alpha^(k-1) to the (abelian, matrix) coordinates of
-    a^k - h in an algebra of the given ``shape``.  The trivial character
-    is the unit and the state's trivial coefficient is 1, so a^k - h is
-    the sum over the non-trivial characters alone: nothing is
-    subtracted, and small distances keep their relative precision.
+    a_alpha^k / d_alpha^(k-1) to the density of a^k - h in the Fourier
+    picture: a tuple of arrays whose entries are its values, or the
+    trace norms of its blocks, each counted with the Haar weight of the
+    same place in ``weights``, so that ||a^k - h||_1 is
+    sum_s weights[s] sum |synth(c)[s]|.  The trivial character is the
+    unit and the state's trivial coefficient is 1, so a^k - h is the sum
+    over the non-trivial characters alone: nothing is subtracted, and
+    small distances keep their relative precision.
     """
 
-    shape: AlgebraShape
     keys: Sequence
     ratios: np.ndarray
     dims: np.ndarray
     order: int
     lower: np.ndarray
-    synth: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    synth: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    weights: tuple[float, ...]
+
+
+def _block_trace_norms(beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Trace norms of the 2x2 blocks [[beta_w, -sigma_(w+h)], [-sigma_w, beta_(w+h)]], w < h = n/2.
+
+    A 2x2 matrix A with singular values s1, s2 has s1 s2 = |det A| and
+    s1^2 + s2^2 = ||A||_F^2, so s1 + s2 = sqrt(||A||_F^2 + 2 |det A|).
+    Each block is scaled by 2^-e, with e the exponent of its largest
+    real or imaginary part, before it is squared: scaling by a power of
+    two is exact, the squares neither underflow in the tail nor
+    overflow, and no reciprocal of a subnormal is taken.
+    """
+    h = beta.size // 2
+    # [half, w, beta or sigma]: the entries a, d = beta_w, beta_(w+h) and c, b = sigma_w, sigma_(w+h)
+    blocks = np.stack([beta, sigma], axis=-1).reshape(2, h, 2)
+    parts = blocks.view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=(0, 2)))
+    scaled = np.ldexp(parts, -e[:, None])
+    prod = scaled.view(np.complex128)
+    prod = prod[0] * prod[1]  # columns a d and c b
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=(0, 2)) + 2.0 * np.abs(prod[:, 0] - prod[:, 1])), e)
 
 
 def _kpn_table(a: CentralElement) -> WalkTable:
+    """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
+
+    The density has an abelian part and a matrix block (see
+    ``sekine.central_to_element``).  The abelian part is the 2-D DFT of
+    the (l, w) grid S with S[:, 0] = rp + rm, S[:, n/2] = sp + sm (even
+    n) and S[:, +-v] = xv[:, v] for the genuine X(., v); ``np.fft`` lists
+    its n^2 values reflected in (i, j), which leaves their abs-sum alone.
+    The matrix block is C(b) + D C(s): the circulant of the rho bands
+    b = rp - rm plus, for even n, D = diag((-1)^m) over the 1-based rows
+    m times the circulant of the sigma bands s = sp - sm.  In the Fourier basis C(b)
+    is diagonal with the values beta = DFT(b), and D swaps the
+    frequencies w and w + n/2, so the block splits into the 2x2 blocks
+    of ``_block_trace_norms``, or, with no sigma label, has the singular
+    values |beta_w|.  The DFT over l of b and s rides along with that of
+    the columns of S.
+
+    When every label is rho+-, the abelian part does not depend on j:
+    the table folds the n equal values of each row i into one, with n
+    times the weight, and one step costs two length-n FFTs.
+    """
     n = a.n
     labels = sorted(label for label in a.coeffs if label != trivial_label())
     slots = np.array([_coeff_slot(n, label) for label in labels], dtype=int)
     dims = np.array([float(label.dim) for label in labels])
     ratios = np.array([a.coefficient(label) for label in labels], dtype=np.complex128) / dims
+    # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
+    order = math.lcm(2, n)
+
+    def table(synth, weights):
+        return WalkTable(labels, ratios, dims, order, np.ones(len(labels), bool), synth, weights)
+
+    kinds = {label.kind for label in labels}
+    if kinds <= {RHO_PLUS, RHO_MINUS}:
+
+        def rho_synth(c):
+            flat = np.zeros(2 * n, dtype=np.complex128)
+            flat[slots] = c
+            rp, rm = flat.reshape(2, n)
+            # the abelian part at j = 0 and the spectrum of the circulant block
+            return (np.fft.fft(np.stack([rp + rm, rp - rm])),)
+
+        return table(rho_synth, (1.0 / (2.0 * n),))
+
     size = 4 * n + n * (n // 2 + 1)
+    mirror = n - np.arange(n // 2 + 1, n)  # S[:, n - v] holds X(., v)
+    sigma = bool(kinds & {SIGMA_PLUS, SIGMA_MINUS})
 
     def synth(c):
         flat = np.zeros(size, dtype=np.complex128)
         flat[slots] = c
-        return _element_arrays(n, *_split_coeffs(n, flat))
+        rp, rm, sp, sm, xv = _split_coeffs(n, flat)
+        rows = np.empty((n + 2, n), dtype=np.complex128)  # S[:, w] for each w, then b and s
+        rows[: n // 2 + 1] = xv.T  # its rows v = 0 and n/2 hold no label
+        rows[n // 2 + 1 : n] = xv.T[mirror]
+        rows[0] = rp + rm
+        if n % 2 == 0:
+            rows[n // 2] = sp + sm
+        rows[n] = rp - rm
+        rows[n + 1] = sp - sm
+        over_l = np.fft.fft(rows)
+        beta = over_l[n]
+        block = _block_trace_norms(beta, over_l[n + 1]) if sigma else beta
+        return np.fft.fft(over_l[:n], axis=0), block
 
-    # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
-    order = math.lcm(2, n)
-    return WalkTable(AlgebraShape.sekine(n), labels, ratios, dims, order, np.ones(len(labels), bool), synth)
+    shape = AlgebraShape.sekine(n)
+    return table(synth, (shape.weight_abelian, shape.weight_matrix))
 
 
 def _finite(x):
@@ -130,7 +207,9 @@ class _PowerEngine:
     from a CentralElement), the Kac-Paljutkin group and the dual of KP_n
     (built from their WalkTable):
 
-    * qtv = 1/2 ||a^k - h||_1, the L1 norm of ``algebra``;
+    * qtv = 1/2 ||a^k - h||_1, the weighted abs-sum of the table's
+      Fourier values (``WalkTable.synth``); no step builds the element or
+      takes an SVD;
     * upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k));
     * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
     """
@@ -160,9 +239,10 @@ class _PowerEngine:
         return _finite(size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order)))
 
     def qtv(self, k: int) -> float:
+        t = self.table
         with np.errstate(over="ignore", invalid="ignore"):
-            ab, mat = self.table.synth(self.coefficients(k))
-            return _finite(0.5 * l1_norm(AlgebraElement(self.table.shape, ab, mat)))
+            values = t.synth(self.coefficients(k))
+            return _finite(0.5 * float(sum(w * np.abs(v).sum() for w, v in zip(t.weights, values))))
 
     def lower(self, k: int) -> float:
         return 0.5 * math.pow(float(self._mod[self.table.lower].max(initial=0.0)), k)

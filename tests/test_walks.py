@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import sys
 from functools import lru_cache
 
@@ -24,6 +26,8 @@ from qgwalk.sekine import (
     central_to_element,
     convolve,
     element_to_central,
+    fourier_profile,
+    genuine_x_range,
     profile_to_central,
     rho_minus,
     rho_plus,
@@ -141,12 +145,120 @@ class TestQtvToHaar:
     def test_tail_matches_high_precision_reference(self):
         # distances from 1e-9 down to 3e-15 keep their relative precision:
         # the unit is never subtracted, so nothing cancels
-        n = 51
-        a = cutoff_state(n)
-        for c in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9):
-            k = round(math.exp(c) * n * n)
-            ref = _cosine_qtv_reference(n, k)
-            assert qtv_to_haar(a, k) == pytest.approx(ref, rel=1e-9, abs=0.0), (c, k)
+        for n in (51, 101, 201):
+            a = cutoff_state(n)
+            for c in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9):
+                k = round(math.exp(c) * n * n)
+                ref = _cosine_qtv_reference(n, k)
+                assert qtv_to_haar(a, k) == pytest.approx(ref, rel=1e-9, abs=0.0), (n, c, k)
+
+
+def _dense_kpn_qtv(engine, n, k):
+    """1/2 ||a^k - h||_1 from the dense coordinates of a^k - h and an SVD of its matrix block."""
+    powered = CentralElement(n, dict(zip(engine.table.keys, engine.coefficients(k))))
+    return 0.5 * l1_norm(central_to_element(powered))
+
+
+def _dense_kp_qtv(engine, n, k):
+    """1/2 ||a^k - h||_1 on C^4 + M_2(C) (n is None): a^k - h has no rho1 term."""
+    return 0.5 * l1_norm(kp8.kp_element(kp8.KPCoefficients(0.0, *engine.coefficients(k))))
+
+
+def _dense_dual_qtv(engine, n, k):
+    """Half the weighted trace norm of 2n^2 times the Fourier profile of the primal element of a^k - h."""
+    powered = dual.DualCentralElement(n, dict(zip(engine.table.keys, engine.coefficients(k))))
+    prof = fourier_profile(dual.dual_to_primal(powered))
+    scale = 2.0 * n * n
+    total = sum(abs(scale * value) for value in prof.scalars.values())
+    for v in genuine_x_range(n):
+        for u in range(n):
+            total += 2.0 * np.linalg.svd(scale * prof.blocks[u, v], compute_uv=False).sum()
+    return 0.5 * total / scale
+
+
+DENSE_QTV = {"kpn": _dense_kpn_qtv, "kp": _dense_kp_qtv, "kpn-dual": _dense_dual_qtv}
+
+
+def _keep(a, kinds):
+    """The convolution of a with the central idempotent state whose ratios are 1 on ``kinds``, 0 elsewhere.
+
+    Convolving multiplies each coefficient by that ratio, so the labels of
+    other kinds drop out and the result is again a state.  The idempotent
+    is h_Gamma with Gamma = {0} x Z_n for the rho labels alone and
+    {0} x 2Z_n (even n) for the rho and sigma labels.
+    """
+    return CentralElement(a.n, {label: c for label, c in a.coeffs.items() if label.kind in kinds})
+
+
+class TestSpectralDistance:
+    """The engine's qtv against the dense synthesis and SVD it replaced."""
+
+    def test_matches_dense_oracle_on_random_states(self):
+        rng = np.random.default_rng(20261018)
+        rho, sigma = ("rho+", "rho-"), ("sigma+", "sigma-")
+        for n in range(2, 41):
+            a = random_central_state(n, rng)
+            states = [a, _keep(a, rho)]  # odd n: X without sigma; even n: both
+            if n % 2 == 0:
+                states.append(_keep(a, rho + sigma))
+            for state in states:
+                validate_state(state).require()
+                engine = _PowerEngine(state)
+                for k in (1, 2, 5, 50, 400):
+                    dense = _dense_kpn_qtv(engine, n, k)
+                    kinds = sorted({label.kind for label in state.coeffs})
+                    assert engine.qtv(k) == pytest.approx(dense, rel=1e-12, abs=0.0), (n, kinds, k)
+
+    def test_matches_dense_oracle_on_run_goldens(self):
+        # the configs whose CSVs tests/data/run pins, at their k_max = 30
+        from qgwalk.cli import _walk, parse_config, tolerance_of
+
+        paths = sorted((pathlib.Path(__file__).parent / "data" / "run").glob("*.json"))
+        cases = [case for path in paths for case in json.loads(path.read_text()) if "stderr" not in case]
+        assert len(cases) > 100
+        for case in cases:
+            cfg = parse_config(case["config"])
+            engine = _PowerEngine(_walk(cfg, tolerance_of(cfg))[2])
+            for k in range(1, cfg.k_max + 1):
+                dense = DENSE_QTV[cfg.group](engine, cfg.n, k)
+                assert engine.qtv(k) == pytest.approx(dense, rel=1e-12, abs=0.0), (case["name"], k)
+
+    def test_no_step_takes_an_svd(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine took an SVD")
+
+        tables = [
+            walks._kpn_table(random_central_state(n, rng)) for n in (5, 6)  # with X labels, and with sigma labels
+        ]
+        tables += [
+            walks._kpn_table(cutoff_state(9)),
+            kp8._kp_table(kp8.KPCoefficients(1.0, 0.5, 0.25, 0.0, 0.25)),
+            dual._dual_table(dual.DualCentralElement(3, {(0, 0): 1.0, (1, 0): 0.5, dual.XHAT: 1.0})),
+        ]
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(walks, "l1_norm", refuse)
+        for table in tables:
+            assert _PowerEngine(table).qtv(3) > 0.0
+
+    def test_rho_only_tables_fold_the_abelian_part(self):
+        # rho labels only: two length-n spectra under the one weight 1/(2n)
+        table = walks._kpn_table(cutoff_state(7))
+        assert table.weights == (1.0 / 14.0,)
+        (values,) = table.synth(_PowerEngine(table).coefficients(2))
+        assert values.shape == (2, 7)
+        a = CentralElement(6, {trivial_label(): 1.0, rho_plus(1): 0.25, sigma_plus(0): 0.25})
+        assert len(walks._kpn_table(a).weights) == 2
+
+    def test_tiny_and_subnormal_sigma_blocks(self):
+        # the 2x2 closed form scales each block by its exponent: neither the
+        # squares underflow nor a reciprocal of a subnormal is taken
+        def qtv(scale):
+            a = CentralElement(4, {trivial_label(): 1.0, rho_plus(1): 0.3 * scale, sigma_minus(2): 0.2j * scale})
+            return _PowerEngine(a).qtv(1)
+
+        for scale in (1e-160, 1e-200, 1e-300):
+            assert qtv(scale) == pytest.approx(scale * qtv(1.0), rel=1e-12)
+        assert 0.0 < qtv(5e-320) < 1e-319  # subnormal: finite, but no relative precision
 
 
 class TestBounds:
