@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -281,11 +282,8 @@ def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int
     if command == "classify":
         _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
         return EXIT_OK
-    engine = wk._PowerEngine(table)
-    rows = [
-        (k, _clamp(engine.qtv(k)), _clamp(engine.lower(k)), _clamp(engine.upper(k)))
-        for k in range(1, cfg.k_max + 1)
-    ]
+    steps = wk._PowerEngine(table).steps(range(1, cfg.k_max + 1))
+    rows = [(s.k, _clamp(s.qtv), _clamp(s.lower), _clamp(s.upper)) for s in steps]
 
     def write_rows(handle):
         writer = csv.writer(handle, lineterminator="\n")
@@ -330,14 +328,15 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
                 f"n={n}: the cosine walk needs odd n; for even n the coefficient at"
                 " l = n/2 equals -1 and the walk does not converge to the Haar state"
             )
-        engine = wk._PowerEngine(wk.cutoff_state(n))  # a state by construction
-        for c in c_list:
-            ks = sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
-            for k in ks:
-                k = max(k, 1)
-                q = engine.qtv(k)
-                lo, us, ut = wk.cutoff_bounds(n, k)
-                rows.append((n, c, k, _clamp(q), _clamp(lo), _clamp(us), _clamp(ut)))
+        grid = [
+            (c, max(k, 1))
+            for c in c_list
+            for k in sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
+        ]
+        ks = sorted({k for _, k in grid})
+        qtv = dict(zip(ks, wk._PowerEngine(wk.cutoff_state(n)).qtv_many(ks)))  # a state by construction
+        for c, k in grid:
+            rows.append((n, c, k, _clamp(qtv[k]), *(_clamp(v) for v in wk.cutoff_bounds(n, k))))
 
     def write_rows(handle):
         writer = csv.writer(handle, lineterminator="\n")
@@ -363,6 +362,7 @@ def _load_config(path: str) -> WalkConfig:
     return parse_config(text)
 
 
+@functools.cache  # built once per process: it costs about 0.6 ms, and parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgwalk",

@@ -108,15 +108,15 @@ def _dual_table(a: DualCentralElement) -> WalkTable:
     ratios = np.array([a.coefficient(key) for key in keys], dtype=np.complex128) / dims
 
     def synth(c):
-        grid = np.zeros(n * n, dtype=np.complex128)
-        grid[cells] = c[:-1]
-        plus = np.fft.fft2(grid.reshape(n, n)).reshape(-1)
+        grid = np.zeros((len(c), n * n), dtype=np.complex128)
+        grid[:, cells] = c[:, :-1]
+        plus = np.fft.fft2(grid.reshape(-1, n, n)).reshape(len(c), -1)
         minus = plus.copy()
-        plus[0] += n * c[-1]
-        minus[0] -= n * c[-1]
-        return (np.concatenate([plus, minus]),)
+        plus[:, 0] += n * c[:, -1]
+        minus[:, 0] -= n * c[:, -1]
+        return (np.concatenate([plus, minus], axis=1),)
 
-    return WalkTable(keys, ratios, dims, n, np.ones(len(keys), bool), synth, (1.0 / (2 * n * n),))
+    return WalkTable(keys, ratios, dims, n, np.ones(len(keys), bool), synth, (1.0 / (2 * n * n),), 2 * n * n)
 
 
 def dual_power(a: DualCentralElement, k: int) -> DualCentralElement:
@@ -161,8 +161,7 @@ def dual_qtv_to_haar(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) ->
 def dual_bounds(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Lower and upper mixing bounds for the dual walk at step k."""
     dual_validate_state(a, tol).require()
-    engine = _PowerEngine(_dual_table(a))
-    return engine.lower(k), engine.upper(k)
+    return _PowerEngine(_dual_table(a)).bounds_many((k,))[0]
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ _KP_DIAGONAL = np.array(
     [
         np.concatenate([x.abelian, np.diag(x.matrix), np.diag(x.matrix)])
         for x in (_KP_IRREPS[name] for name in ("rho2", "rho3", "rho4", "chiX"))
-    ]
+    ],
+    dtype=np.complex128,
 )
 _KP_WEIGHTS = (1.0 / 8.0,)
 # The lower bound uses rho2..rho4 only.
@@ -126,8 +127,8 @@ def _kp_synth(c: np.ndarray) -> tuple[np.ndarray]:
 
 
 def _kp_table(g: KPCoefficients) -> WalkTable:
-    ratios = np.array(g.as_tuple()[1:]) / _KP_DIMS
-    return WalkTable(_KP_KEYS, ratios, _KP_DIMS, 2, _KP_LOWER, _kp_synth, _KP_WEIGHTS)
+    ratios = np.array((g.g2, g.g3, g.g4, g.gX), dtype=np.complex128) / _KP_DIMS
+    return WalkTable(_KP_KEYS, ratios, _KP_DIMS, 2, _KP_LOWER, _kp_synth, _KP_WEIGHTS, _KP_DIAGONAL.shape[1])
 
 
 def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:
@@ -144,8 +145,7 @@ def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
 def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
     """Lower and upper mixing bounds at step k."""
     kp_validate_state(g).require()
-    engine = _PowerEngine(_kp_table(g))
-    return engine.lower(k), engine.upper(k)
+    return _PowerEngine(_kp_table(g)).bounds_many((k,))[0]
 
 
 @dataclass(frozen=True)

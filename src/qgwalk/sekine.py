@@ -182,8 +182,14 @@ def _coeff_slot(n: int, label: IrrepLabel) -> int:
 
 
 def _split_coeffs(n: int, flat: np.ndarray):
-    """Per-kind views rp, rm, sp, sm (length n) and xv (n x (n//2 + 1)) of a flat vector."""
-    return (*flat[: 4 * n].reshape(4, n), flat[4 * n :].reshape(n, n // 2 + 1))
+    """Per-kind views rp, rm, sp, sm (length n) and xv (n x (n//2 + 1)) of a flat vector.
+
+    A stack of flat vectors, one per row, gives the views with the same
+    leading axes.
+    """
+    lead = flat.shape[:-1]
+    bands = flat[..., : 4 * n].reshape(*lead, 4, n)
+    return (*np.moveaxis(bands, -2, 0), flat[..., 4 * n :].reshape(*lead, n, n // 2 + 1))
 
 
 def _coeff_arrays(a: CentralElement):

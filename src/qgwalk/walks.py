@@ -14,9 +14,11 @@ KP_n: each group describes itself by a WalkTable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,27 +70,38 @@ AMBIGUITY_FACTOR = 10.0
 RECOGNITION_TOL = 1e-8
 REBUILD_TOL = 1e-6
 
+# The engine powers and synthesises the steps of a walk a chunk of k at a
+# time: a chunk holds about CHUNK_VALUES complex values per array (the
+# table's ``width`` values per k), so a long walk on a large n needs no
+# more memory than a short one.  2^13 values (128 KiB) per array keep a
+# walk-mix pass as fast as 2^14 with half the transient memory.
+CHUNK_VALUES = 2**13
+
 
 class AmbiguousBoundaryError(RuntimeError):
     """A ratio sits too close to the unit circle to classify reliably."""
 
 
-@dataclass(frozen=True)
-class WalkTable:
+class WalkTable(NamedTuple):
     """What the walk engine needs to know about one group and one state.
 
     ``ratios`` are the non-trivial r_alpha = a_alpha / d_alpha, named by
     ``keys``, with dimensions ``dims``; ``lower`` marks the ratios that
     enter the lower bound.  Phases that are ``order``-th roots of unity
     are powered exactly.  ``synth`` maps the powered coefficients
-    a_alpha^k / d_alpha^(k-1) to the density of a^k - h in the Fourier
-    picture: a tuple of arrays whose entries are its values, or the
-    trace norms of its blocks, each counted with the Haar weight of the
-    same place in ``weights``, so that ||a^k - h||_1 is
-    sum_s weights[s] sum |synth(c)[s]|.  The trivial character is the
-    unit and the state's trivial coefficient is 1, so a^k - h is the sum
-    over the non-trivial characters alone: nothing is subtracted, and
-    small distances keep their relative precision.
+    a_alpha^k / d_alpha^(k-1), a (K, m) array with one row per k, to the
+    density of each a^k - h in the Fourier picture: a tuple of arrays
+    with a leading K axis whose entries are its values, or the trace
+    norms of its blocks, each counted with the Haar weight of the same
+    place in ``weights``, so that ||a^k - h||_1 is
+    sum_s weights[s] sum |synth(c)[s][row of k]|.  ``width`` is the
+    number of complex values ``synth`` holds per k in its largest array,
+    by which the engine sizes its chunks of k.  The trivial character is
+    the unit and the state's trivial coefficient is 1, so a^k - h is the
+    sum over the non-trivial characters alone: nothing is subtracted,
+    and small distances keep their relative precision.  A table is an
+    immutable named tuple, which is built on every one-k call and costs
+    a fifth of a frozen dataclass to build.
     """
 
     keys: Sequence
@@ -98,6 +111,7 @@ class WalkTable:
     lower: np.ndarray
     synth: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     weights: tuple[float, ...]
+    width: int
 
 
 def _block_trace_norms(beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -109,16 +123,18 @@ def _block_trace_norms(beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     real or imaginary part, before it is squared: scaling by a power of
     two is exact, the squares neither underflow in the tail nor
     overflow, and no reciprocal of a subnormal is taken.
+
+    ``beta`` and ``sigma`` hold one row per k, and so does the result.
     """
-    h = beta.size // 2
-    # [half, w, beta or sigma]: the entries a, d = beta_w, beta_(w+h) and c, b = sigma_w, sigma_(w+h)
-    blocks = np.stack([beta, sigma], axis=-1).reshape(2, h, 2)
+    count, h = len(beta), beta.shape[1] // 2
+    # [k, half, w, beta or sigma]: the entries a, d = beta_w, beta_(w+h) and c, b = sigma_w, sigma_(w+h)
+    blocks = np.stack([beta, sigma], axis=-1).reshape(count, 2, h, 2)
     parts = blocks.view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=(0, 2)))
-    scaled = np.ldexp(parts, -e[:, None])
+    _, e = np.frexp(np.abs(parts).max(axis=(1, 3)))
+    scaled = np.ldexp(parts, -e[:, None, :, None])
     prod = scaled.view(np.complex128)
-    prod = prod[0] * prod[1]  # columns a d and c b
-    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=(0, 2)) + 2.0 * np.abs(prod[:, 0] - prod[:, 1])), e)
+    prod = prod[:, 0] * prod[:, 1]  # columns a d and c b
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=(1, 3)) + 2.0 * np.abs(prod[..., 0] - prod[..., 1])), e)
 
 
 def _kpn_table(a: CentralElement) -> WalkTable:
@@ -136,7 +152,7 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     frequencies w and w + n/2, so the block splits into the 2x2 blocks
     of ``_block_trace_norms``, or, with no sigma label, has the singular
     values |beta_w|.  The DFT over l of b and s rides along with that of
-    the columns of S.
+    the columns of S.  Every k of a chunk goes through the same FFTs.
 
     When every label is rho+-, the abelian part does not depend on j:
     the table folds the n equal values of each row i into one, with n
@@ -150,50 +166,59 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
     order = math.lcm(2, n)
 
-    def table(synth, weights):
-        return WalkTable(labels, ratios, dims, order, np.ones(len(labels), bool), synth, weights)
+    def table(synth, weights, width):
+        return WalkTable(labels, ratios, dims, order, np.ones(len(labels), bool), synth, weights, width)
 
     kinds = {label.kind for label in labels}
     if kinds <= {RHO_PLUS, RHO_MINUS}:
 
         def rho_synth(c):
-            flat = np.zeros(2 * n, dtype=np.complex128)
-            flat[slots] = c
-            rp, rm = flat.reshape(2, n)
+            flat = np.zeros((len(c), 2 * n), dtype=np.complex128)
+            flat[:, slots] = c
+            rp, rm = flat[:, :n], flat[:, n:]
             # the abelian part at j = 0 and the spectrum of the circulant block
-            return (np.fft.fft(np.stack([rp + rm, rp - rm])),)
+            return (np.fft.fft(np.stack([rp + rm, rp - rm], axis=1)),)
 
-        return table(rho_synth, (1.0 / (2.0 * n),))
+        return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
 
     size = 4 * n + n * (n // 2 + 1)
     mirror = n - np.arange(n // 2 + 1, n)  # S[:, n - v] holds X(., v)
     sigma = bool(kinds & {SIGMA_PLUS, SIGMA_MINUS})
 
     def synth(c):
-        flat = np.zeros(size, dtype=np.complex128)
-        flat[slots] = c
+        flat = np.zeros((len(c), size), dtype=np.complex128)
+        flat[:, slots] = c
         rp, rm, sp, sm, xv = _split_coeffs(n, flat)
-        rows = np.empty((n + 2, n), dtype=np.complex128)  # S[:, w] for each w, then b and s
-        rows[: n // 2 + 1] = xv.T  # its rows v = 0 and n/2 hold no label
-        rows[n // 2 + 1 : n] = xv.T[mirror]
-        rows[0] = rp + rm
+        xv = xv.transpose(0, 2, 1)
+        rows = np.empty((len(c), n + 2, n), dtype=np.complex128)  # S[:, w] for each w, then b and s
+        rows[:, : n // 2 + 1] = xv  # its rows v = 0 and n/2 hold no label
+        rows[:, n // 2 + 1 : n] = xv[:, mirror]
+        rows[:, 0] = rp + rm
         if n % 2 == 0:
-            rows[n // 2] = sp + sm
-        rows[n] = rp - rm
-        rows[n + 1] = sp - sm
+            rows[:, n // 2] = sp + sm
+        rows[:, n] = rp - rm
+        rows[:, n + 1] = sp - sm
         over_l = np.fft.fft(rows)
-        beta = over_l[n]
-        block = _block_trace_norms(beta, over_l[n + 1]) if sigma else beta
-        return np.fft.fft(over_l[:n], axis=0), block
+        beta = over_l[:, n]
+        block = _block_trace_norms(beta, over_l[:, n + 1]) if sigma else beta
+        return np.fft.fft(over_l[:, :n], axis=1), block
 
     shape = AlgebraShape.sekine(n)
-    return table(synth, (shape.weight_abelian, shape.weight_matrix))
+    return table(synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n)
 
 
-def _finite(x):
-    if not np.isfinite(x).all():
+def _finite(values: list):
+    if not all(map(cmath.isfinite, values)):
         raise OverflowError("the powers of the walk leave the floating-point range")
-    return x
+    return values
+
+
+@dataclass(frozen=True)
+class WalkStep:
+    k: int
+    qtv: float
+    lower: float
+    upper: float
 
 
 class _PowerEngine:
@@ -212,6 +237,15 @@ class _PowerEngine:
       takes an SVD;
     * upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k));
     * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
+
+    Each takes a sequence of k and gives one value per k; ``steps`` gives
+    all three, so a walk is one engine call.  The powers and the
+    synthesis run over the ks a chunk at a time, with a leading K axis
+    (see ``CHUNK_VALUES``); the one-k forms ``qtv``, ``lower``,
+    ``upper`` and ``coefficients`` are that call with one k.  The ks stay
+    Python ints: k mod ``order`` is taken in integer arithmetic, and k
+    itself enters as a float, so k = 10**307 works where an int64 array
+    could not hold it.
     """
 
     def __init__(self, a: CentralElement | WalkTable):
@@ -220,9 +254,12 @@ class _PowerEngine:
         self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)
         self._turns = None  # the phases, set on the first power; the bounds never need them
 
-    def coefficients(self, k: int) -> np.ndarray:
-        """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
-        if k < 1:
+    def powers(self, ks: Sequence[int]) -> np.ndarray:
+        """a_alpha^k / d_alpha^(k-1): one row per k, one column per non-trivial character.
+
+        Non-finite powers are left for the caller to refuse.
+        """
+        if min(ks, default=1) < 1:
             raise ValueError("k must be positive")
         t = self.table
         if self._turns is None:
@@ -231,29 +268,70 @@ class _PowerEngine:
             root = np.rint(turns)
             self._exact = np.abs(turns - root) <= ROOT_TOL
             self._turns = np.where(self._exact, root, turns)
-        size = t.dims * self._mod**k
-        # Integer turns take k reduced mod order in integer arithmetic, so
-        # roots of unity stay exact at every k; so do powers that are 0,
-        # whose phase does not matter and must not overflow.
-        steps = np.where(self._exact | (size == 0.0), k % t.order, float(k))
-        return _finite(size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order)))
+        # Per k: k as the nearest float, and k mod order in integer
+        # arithmetic, as a column.  A lone k stays a pair of Python scalars:
+        # numpy broadcasts those at the least cost, with the same bits.
+        if len(ks) == 1:
+            exps, reduced = float(ks[0]), ks[0] % t.order
+        else:
+            ints = np.array([(k, k % t.order) for k in ks], dtype=float)
+            exps, reduced = ints[:, :1], ints[:, 1:]
+        size = t.dims * self._mod**exps
+        if len(ks) > 1 and 2 in ks:
+            # numpy squares for a lone exponent of 2; the column must not move by an ulp
+            size[ints[:, 0] == 2.0] = t.dims * np.square(self._mod)
+        # Integer turns take the reduced k, so roots of unity stay exact at
+        # every k; so do powers that are 0, whose phase does not matter and
+        # must not overflow.
+        steps = np.where(self._exact | (size == 0.0), reduced, exps)
+        return (size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order))).reshape(len(ks), -1)
+
+    def coefficients(self, k: int) -> np.ndarray:
+        """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
+        (c,) = self.powers((k,))
+        _finite(c.tolist())
+        return c
+
+    def qtv_many(self, ks: Sequence[int]) -> list[float]:
+        """qtv at each k; a non-finite power makes the distance non-finite, and raises."""
+        t = self.table
+        chunk = max(1, CHUNK_VALUES // t.width)
+        out: list[float] = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(ks), chunk):
+                part = ks[start : start + chunk]
+                values = t.synth(self.powers(part))
+                sums = [w * np.add.reduce(np.abs(v).reshape(len(part), -1), axis=1) for w, v in zip(t.weights, values)]
+                # added left to right, from the first sum rather than from 0.0: no extra array operation
+                out += _finite((0.5 * sum(sums[1:], sums[0])).tolist())
+        return out
+
+    def bounds_many(self, ks: Sequence[int]) -> list[tuple[float, float]]:
+        """(lower, upper) at each k, each in its one-k form: a batched power or dot would move the last bit."""
+        t = self.table
+        low = float(np.maximum.reduce(self._mod[t.lower], initial=0.0))
+        # the sum is taken relative to the largest ratio, so no term overflows
+        top = float(np.maximum.reduce(self._mod, initial=0.0))
+        if top == 0.0:
+            return [(0.5 * math.pow(low, k), 0.0) for k in ks]
+        weights, rel = np.square(t.dims), self._mod / top
+        return [
+            (0.5 * math.pow(low, k), 0.5 * math.pow(top, k) * math.sqrt(float(weights @ rel ** (2 * k))))
+            for k in ks
+        ]
+
+    def steps(self, ks: Sequence[int]) -> list[WalkStep]:
+        """qtv, lower and upper at each k."""
+        return [WalkStep(k, q, lo, up) for k, q, (lo, up) in zip(ks, self.qtv_many(ks), self.bounds_many(ks))]
 
     def qtv(self, k: int) -> float:
-        t = self.table
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = t.synth(self.coefficients(k))
-            return _finite(0.5 * float(sum(w * np.abs(v).sum() for w, v in zip(t.weights, values))))
+        return self.qtv_many((k,))[0]
 
     def lower(self, k: int) -> float:
-        return 0.5 * math.pow(float(self._mod[self.table.lower].max(initial=0.0)), k)
+        return self.bounds_many((k,))[0][0]
 
     def upper(self, k: int) -> float:
-        # the sum is taken relative to the largest ratio, so no term overflows
-        top = float(self._mod.max(initial=0.0))
-        if top == 0.0:
-            return 0.0
-        total = float(self.table.dims**2 @ (self._mod / top) ** (2 * k))
-        return 0.5 * math.pow(top, k) * math.sqrt(total)
+        return self.bounds_many((k,))[0][1]
 
 
 def convolution_power(a: CentralElement, k: int) -> CentralElement:
@@ -478,14 +556,6 @@ def cutoff_bounds(n: int, k: int) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class WalkStep:
-    k: int
-    qtv: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class WalkReport:
     """Per-step distances plus the final classification of a walk."""
 
@@ -503,6 +573,5 @@ def walk_trace(
 ) -> WalkReport:
     """Record exact distance and both bounds for k = 1..k_max."""
     classification = classify_limit(a, tol, max_period=max_period)  # the state check
-    engine = _PowerEngine(classification.table)
-    steps = [WalkStep(k, engine.qtv(k), engine.lower(k), engine.upper(k)) for k in range(1, k_max + 1)]
+    steps = _PowerEngine(classification.table).steps(range(1, k_max + 1))
     return WalkReport(a.n, steps, classification, classification.period)

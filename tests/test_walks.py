@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import mpmath
@@ -244,8 +245,8 @@ class TestSpectralDistance:
         # rho labels only: two length-n spectra under the one weight 1/(2n)
         table = walks._kpn_table(cutoff_state(7))
         assert table.weights == (1.0 / 14.0,)
-        (values,) = table.synth(_PowerEngine(table).coefficients(2))
-        assert values.shape == (2, 7)
+        (values,) = table.synth(_PowerEngine(table).powers((2,)))
+        assert values.shape == (1, 2, 7)
         a = CentralElement(6, {trivial_label(): 1.0, rho_plus(1): 0.25, sigma_plus(0): 0.25})
         assert len(walks._kpn_table(a).weights) == 2
 
@@ -426,6 +427,84 @@ class TestDetectCycle:
             assert c.kind == "diverges" and c.period == period
             assert calls == [a]
             assert c.period == detect_cycle(a, 2 * a.n)
+
+
+def _batch_tables():
+    """One table of every kind the engine powers, from random states and boundary walks."""
+    rng = np.random.default_rng(20261019)
+    rho, sigma = ("rho+", "rho-"), ("sigma+", "sigma-")
+    odd, even = random_central_state(7, rng), random_central_state(8, rng)
+    states = {
+        "kpn odd n, X labels": odd,
+        "kpn even n, sigma and X labels": even,
+        "kpn even n, sigma labels": _keep(even, rho + sigma),
+        "kpn rho only": _keep(odd, rho),
+        "kpn on the circle": psi_p(9, 3),
+        "kpn cosine": cutoff_state(9),
+    }
+    tables = {name: walks._kpn_table(a) for name, a in states.items()}
+    tables["kp"] = kp8._kp_table(kp8.KPCoefficients(1.0, *rng.uniform(-0.45, 0.45, 3), rng.uniform(-0.2, 0.2)))
+    coeffs = {(int(i), int(j)): c for i, j, c in zip(*rng.integers(0, 5, (2, 8)), rng.uniform(0.0, 0.9, 8))}
+    coeffs.update({(0, 0): 1.0, (2, 3): -0.5j, dual.XHAT: 2.5})
+    tables["dual"] = dual._dual_table(dual.DualCentralElement(5, coeffs))
+    return tables
+
+
+BATCH_TABLES = _batch_tables()
+BATCH_KS = [*range(1, 30), 50, 400, 2, 1, 2**53 + 1, 10**30 + 1, 10**307]
+
+
+def _bits(values):
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+class TestBatchedEngine:
+    """The engine runs every k of a walk through one batched call; each value is the one-k value, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_TABLES))
+    def test_batched_equals_per_k(self, name):
+        engine = _PowerEngine(BATCH_TABLES[name])
+        assert _bits(engine.qtv_many(BATCH_KS)) == _bits([engine.qtv(k) for k in BATCH_KS])
+        assert _bits(engine.powers(BATCH_KS)) == _bits([engine.coefficients(k) for k in BATCH_KS])
+        pairs = engine.bounds_many(BATCH_KS)
+        assert _bits(pairs) == _bits([(engine.lower(k), engine.upper(k)) for k in BATCH_KS])
+        steps = engine.steps(BATCH_KS)
+        assert [s.k for s in steps] == BATCH_KS
+        assert _bits([(s.qtv, s.lower, s.upper) for s in steps]) == _bits(
+            [(q, lo, up) for q, (lo, up) in zip(engine.qtv_many(BATCH_KS), pairs)]
+        )
+
+    @pytest.mark.parametrize("name", sorted(BATCH_TABLES))
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunk_seams(self, name, per_chunk, monkeypatch):
+        table = BATCH_TABLES[name]
+        whole = _PowerEngine(table).qtv_many(BATCH_KS)
+        monkeypatch.setattr(walks, "CHUNK_VALUES", per_chunk * table.width)
+        assert _bits(_PowerEngine(table).qtv_many(BATCH_KS)) == _bits(whole)
+
+    def test_empty_batch(self):
+        engine = _PowerEngine(BATCH_TABLES["kp"])
+        assert engine.qtv_many([]) == [] and engine.bounds_many([]) == [] and engine.steps([]) == []
+
+    def test_huge_k_alone_and_mixed(self):
+        # the huge ks have no int64 form; batched with small ones they keep exact phases and decay to 0
+        engine = _PowerEngine(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0, rho_plus(1): 0.5}))
+        ks = [2**53 + 1, 10**30 + 1, 10**307, 2, 3]
+        powers = engine.powers(ks)
+        # the ratio -1 sits at a root of unity of order 4: its powers alternate with the parity of k
+        assert np.allclose(powers[:, 1], [-1.0, -1.0, 1.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
+        assert powers[2, 0] == 0.0 and powers[4, 0] == 0.125
+
+    def test_walk_memory_is_bounded(self):
+        # unchunked, 1000 steps at n = 201 would hold about 650 MB per array
+        engine = _PowerEngine(random_central_state(201, np.random.default_rng(201)))
+        tracemalloc.start()
+        try:
+            engine.qtv_many(range(1, 1001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 class TestHugeK:
