@@ -51,6 +51,9 @@ class WalkConfig:
     tolerance: float | None = None
     output: str | None = None
     raw_values: list = field(default_factory=list)  # original value forms, for round-trips
+    # the parsed label of each coefficient: the slot name (kp), an IrrepLabel
+    # (kpn), an (i, j) pair or "Xhat" (kpn-dual); each label is parsed and checked once
+    labels: list = field(default_factory=list)
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
@@ -151,6 +154,7 @@ def parse_config(doc) -> WalkConfig:
     if not isinstance(coeffs_doc, list):
         raise ConfigError("$.coefficients: list of [label, value] pairs required")
     coefficients: list[tuple[str, complex]] = []
+    labels: list = []
     seen: set[str] = set()
     for pos, item in enumerate(coeffs_doc):
         path = f"$.coefficients[{pos}]"
@@ -163,14 +167,15 @@ def parse_config(doc) -> WalkConfig:
         if group == "kp":
             if text not in KP_SLOTS:
                 raise ConfigError(f"{path}: unknown label {text!r}")
-            coefficients.append((text, _parse_complex(value, None, path)))
+            label, text_norm = text, text
         elif group == "kpn":
             label = _parse_sekine_label(text, n, path)
-            coefficients.append((str(label), _parse_complex(value, n, path)))
+            text_norm = str(label)
         else:
-            key = _parse_dual_label(text, n, path)
-            text_norm = "Xhat" if key == "Xhat" else f"e:{key[0]},{key[1]}"
-            coefficients.append((text_norm, _parse_complex(value, n, path)))
+            label = _parse_dual_label(text, n, path)
+            text_norm = "Xhat" if label == "Xhat" else f"e:{label[0]},{label[1]}"
+        labels.append(label)
+        coefficients.append((text_norm, _parse_complex(value, n, path)))
     k_max = doc.get("k_max", 50)
     if not _is_number(k_max, int) or k_max < 1:
         raise ConfigError("$.k_max: positive integer required")
@@ -183,7 +188,7 @@ def parse_config(doc) -> WalkConfig:
     extra = set(doc) - {"group", "n", "coefficients", "k_max", "tolerance", "output"}
     if extra:
         raise ConfigError(f"$: unknown keys {sorted(extra)}")
-    return WalkConfig(group, n, coefficients, k_max, tolerance, output, raw_values=list(coeffs_doc))
+    return WalkConfig(group, n, coefficients, k_max, tolerance, output, list(coeffs_doc), labels)
 
 
 def serialize_config(cfg: WalkConfig) -> dict:
@@ -233,11 +238,13 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     """The classification JSON, the ``run`` meta and the engine table of a walk.
 
     The one place that branches on the group.  The element is built once
-    from its labels, and the classifier's state check is the only one: a
-    non-state raises NotAStateError.
+    from the labels ``parse_config`` parsed and checked, and the
+    classifier's state check is the only one: a non-state raises
+    NotAStateError.
     """
+    coeffs = dict(zip(cfg.labels, (value for _, value in cfg.coefficients)))
     if cfg.group == "kp":
-        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **dict(cfg.coefficients)})
+        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **coeffs})
         c = kp8.kp_classify(g, tol)
         doc = {"outcome": c.kind, "branch": f"kp:{c.kind}", "evidence": _evidence_json(c.evidence)}
         if c.pal_index is not None:
@@ -246,13 +253,13 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
             doc["period"] = c.period
         return doc, _pick(doc, "outcome", "index", "period"), c.table
     if cfg.group == "kpn-dual":
-        a = du.DualCentralElement(cfg.n, {_parse_dual_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
+        a = du.DualCentralElement(cfg.n, coeffs)
         c = du.dual_classify(a, tol)
         doc = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
         if c.epsilon is not None:
             doc["epsilon"] = c.epsilon.describe()
         return doc, _pick(doc, "outcome", "epsilon"), c.table
-    a = sk.CentralElement(cfg.n, {_parse_sekine_label(t, cfg.n, "$"): v for t, v in cfg.coefficients})
+    a = sk.CentralElement(cfg.n, coeffs, checked=True)
     c = wk.classify_limit(a, tol)
     doc = {"outcome": c.kind, "branch": c.branch, "evidence": _evidence_json(c.evidence)}
     if c.kind == "idempotent":
@@ -282,21 +289,17 @@ def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int
     if command == "classify":
         _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
         return EXIT_OK
-    steps = wk._PowerEngine(table).steps(range(1, cfg.k_max + 1))
-    rows = [(s.k, _clamp(s.qtv), _clamp(s.lower), _clamp(s.upper)) for s in steps]
-
-    def write_rows(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["k", "qtv", "lower", "upper"])
-        for row in rows:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-
+    ks = range(1, cfg.k_max + 1)
+    columns = np.array(wk._PowerEngine(table).measure(ks))
+    qtv, lower, upper = np.where(np.abs(columns) < CLAMP, 0.0, columns).tolist()
+    # a float's repr needs no CSV quoting: these are the bytes csv.writer would write
+    text = "k,qtv,lower,upper\n" + "".join(f"{k},{q!r},{lo!r},{up!r}\n" for k, q, lo, up in zip(ks, qtv, lower, upper))
     path = out_path or cfg.output
     if path:
         with open(path, "w", newline="") as handle:
-            write_rows(handle)
+            handle.write(text)
     else:
-        write_rows(stdout)
+        stdout.write(text)
     _emit(json.dumps(meta, sort_keys=True), path and path + ".meta.json", stdout)
     return EXIT_OK
 

@@ -116,7 +116,7 @@ def _dual_table(a: DualCentralElement) -> WalkTable:
         minus[:, 0] -= n * c[:, -1]
         return (np.concatenate([plus, minus], axis=1),)
 
-    return WalkTable(keys, ratios, dims, n, np.ones(len(keys), bool), synth, (1.0 / (2 * n * n),), 2 * n * n)
+    return WalkTable(keys, ratios, dims, n, slice(None), synth, (1.0 / (2 * n * n),), 2 * n * n)
 
 
 def dual_power(a: DualCentralElement, k: int) -> DualCentralElement:

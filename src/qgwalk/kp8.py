@@ -10,6 +10,7 @@ independent oracle for the block calculus used elsewhere.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,8 +59,8 @@ _KP_DIAGONAL = np.array(
     dtype=np.complex128,
 )
 _KP_WEIGHTS = (1.0 / 8.0,)
-# The lower bound uses rho2..rho4 only.
-_KP_LOWER = np.array([True, True, True, False])
+# The lower bound uses rho2..rho4 only: the first three keys.
+_KP_LOWER = slice(0, 3)
 
 
 def kp_irreps() -> dict[str, AlgebraElement]:
@@ -90,6 +91,15 @@ class KPCoefficients:
 
     def as_tuple(self):
         return (complex(self.g1), complex(self.g2), complex(self.g3), complex(self.g4), complex(self.gX))
+
+    @functools.cached_property
+    def _engine(self) -> _PowerEngine:
+        """The walk engine of this state, built on first use.
+
+        Callers ask for k = 1, 2, ... on the same state, one k per call,
+        so its table, moduli and phases are built once per state.
+        """
+        return _PowerEngine(_kp_table(self))
 
 
 def kp_element(g: KPCoefficients) -> AlgebraElement:
@@ -133,19 +143,19 @@ def _kp_table(g: KPCoefficients) -> WalkTable:
 
 def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:
     """Coefficientwise power g_alpha^k / d_alpha^(k-1); g1 is 1, as for a state."""
-    engine = _PowerEngine(_kp_table(g))
+    engine = g._engine
     return KPCoefficients(1.0, **dict(zip(engine.table.keys, engine.coefficients(k).tolist())))
 
 
 def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
     """Exact distance of the k-th convolution power to the Haar state (g1 is 1)."""
-    return _PowerEngine(_kp_table(g)).qtv(k)
+    return g._engine.qtv(k)
 
 
 def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
     """Lower and upper mixing bounds at step k."""
     kp_validate_state(g).require()
-    return _PowerEngine(_kp_table(g)).bounds_many((k,))[0]
+    return g._engine.bounds_many((k,))[0]
 
 
 @dataclass(frozen=True)

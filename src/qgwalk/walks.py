@@ -86,8 +86,8 @@ class WalkTable(NamedTuple):
     """What the walk engine needs to know about one group and one state.
 
     ``ratios`` are the non-trivial r_alpha = a_alpha / d_alpha, named by
-    ``keys``, with dimensions ``dims``; ``lower`` marks the ratios that
-    enter the lower bound.  Phases that are ``order``-th roots of unity
+    ``keys``, with dimensions ``dims``; ``lower`` is the slice of the ratios
+    that enter the lower bound.  Phases that are ``order``-th roots of unity
     are powered exactly.  ``synth`` maps the powered coefficients
     a_alpha^k / d_alpha^(k-1), a (K, m) array with one row per k, to the
     density of each a^k - h in the Fourier picture: a tuple of arrays
@@ -108,7 +108,7 @@ class WalkTable(NamedTuple):
     ratios: np.ndarray
     dims: np.ndarray
     order: int
-    lower: np.ndarray
+    lower: slice
     synth: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     weights: tuple[float, ...]
     width: int
@@ -167,7 +167,7 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     order = math.lcm(2, n)
 
     def table(synth, weights, width):
-        return WalkTable(labels, ratios, dims, order, np.ones(len(labels), bool), synth, weights, width)
+        return WalkTable(labels, ratios, dims, order, slice(None), synth, weights, width)
 
     kinds = {label.kind for label in labels}
     if kinds <= {RHO_PLUS, RHO_MINUS}:
@@ -181,27 +181,27 @@ def _kpn_table(a: CentralElement) -> WalkTable:
 
         return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
 
-    size = 4 * n + n * (n // 2 + 1)
-    mirror = n - np.arange(n // 2 + 1, n)  # S[:, n - v] holds X(., v)
+    half = n // 2 + 1
+    size = 4 * n + n * half
+    mirror = n - np.arange(half, n)  # S[:, n - v] holds X(., v)
     sigma = bool(kinds & {SIGMA_PLUS, SIGMA_MINUS})
 
     def synth(c):
         flat = np.zeros((len(c), size), dtype=np.complex128)
         flat[:, slots] = c
         rp, rm, sp, sm, xv = _split_coeffs(n, flat)
-        xv = xv.transpose(0, 2, 1)
-        rows = np.empty((len(c), n + 2, n), dtype=np.complex128)  # S[:, w] for each w, then b and s
-        rows[:, : n // 2 + 1] = xv  # its rows v = 0 and n/2 hold no label
-        rows[:, n // 2 + 1 : n] = xv[:, mirror]
+        rows = np.empty((len(c), half + 2, n), dtype=np.complex128)  # S[:, v] for v <= n/2, then b and s
+        rows[:, :half] = xv.transpose(0, 2, 1)  # its rows v = 0 and n/2 hold no label
         rows[:, 0] = rp + rm
         if n % 2 == 0:
             rows[:, n // 2] = sp + sm
-        rows[:, n] = rp - rm
-        rows[:, n + 1] = sp - sm
+        rows[:, half] = rp - rm
+        rows[:, half + 1] = sp - sm
+        # the DFT over l of the distinct rows; the mirrored rows S[:, n - v] copy theirs
         over_l = np.fft.fft(rows)
-        beta = over_l[:, n]
-        block = _block_trace_norms(beta, over_l[:, n + 1]) if sigma else beta
-        return np.fft.fft(over_l[:, :n], axis=1), block
+        beta = over_l[:, half]
+        block = _block_trace_norms(beta, over_l[:, half + 1]) if sigma else beta
+        return np.fft.fft(np.concatenate((over_l[:, :half], over_l[:, mirror]), axis=1), axis=1), block
 
     shape = AlgebraShape.sekine(n)
     return table(synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n)
@@ -230,61 +230,77 @@ class _PowerEngine:
     state has |r_alpha| <= 1, so nothing overflows, and a non-finite
     result raises OverflowError.  The same formulas serve KP_n (built
     from a CentralElement), the Kac-Paljutkin group and the dual of KP_n
-    (built from their WalkTable):
+    (built from their WalkTable).  All three values are read off the
+    same magnitudes |r_alpha|^k:
 
     * qtv = 1/2 ||a^k - h||_1, the weighted abs-sum of the table's
-      Fourier values (``WalkTable.synth``); no step builds the element or
-      takes an SVD;
-    * upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k));
+      Fourier values (``WalkTable.synth``) of the phased powers; no step
+      builds the element or takes an SVD;
+    * upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k)), half the 2-norm of
+      the powered magnitudes d_alpha |r_alpha|^k;
     * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
 
-    Each takes a sequence of k and gives one value per k; ``steps`` gives
-    all three, so a walk is one engine call.  The powers and the
-    synthesis run over the ks a chunk at a time, with a leading K axis
-    (see ``CHUNK_VALUES``); the one-k forms ``qtv``, ``lower``,
-    ``upper`` and ``coefficients`` are that call with one k.  The ks stay
-    Python ints: k mod ``order`` is taken in integer arithmetic, and k
-    itself enters as a float, so k = 10**307 works where an int64 array
-    could not hold it.
+    Each takes a sequence of k and gives one value per k; ``measure``
+    gives all three from one pass, so a walk is one engine call, and a
+    call for the bounds alone takes no phases and no synthesis.  The
+    work runs over the ks a chunk at a time, with a leading K axis (see
+    ``CHUNK_VALUES``); the one-k forms ``qtv``, ``lower``, ``upper`` and
+    ``coefficients`` are that call with one k.  The ks stay Python ints:
+    k mod ``order`` is taken in integer arithmetic, and k itself enters
+    as a float, so k = 10**307 works where an int64 array could not hold
+    it.
     """
 
     def __init__(self, a: CentralElement | WalkTable):
         self.table = t = a if isinstance(a, WalkTable) else _kpn_table(a)
         mod = np.abs(t.ratios)
-        self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)
+        # per-character rows of shape (1, m): a lone k meets them without broadcasting
+        self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)[None]
+        self._dims = t.dims[None]
         self._turns = None  # the phases, set on the first power; the bounds never need them
+
+    def _magnitudes(self, ks: Sequence[int]) -> np.ndarray:
+        """|r_alpha|^k: one row per k, one column per non-trivial character."""
+        if min(ks, default=1) < 1:
+            raise ValueError("k must be positive")
+        if len(ks) == 1:
+            # a lone k stays a Python scalar: numpy takes it at the least cost
+            return self._mod ** float(ks[0])
+        exps = np.array(ks, dtype=float)[:, None]
+        mag = self._mod**exps
+        if 2 in ks:
+            # numpy squares for a lone exponent of 2; the column must not move by an ulp
+            mag[exps[:, 0] == 2.0] = np.square(self._mod[0])
+        return mag
+
+    def _phased(self, ks: Sequence[int], size: np.ndarray) -> np.ndarray:
+        """The powers d_alpha r_alpha^k from their moduli ``size`` = d_alpha |r_alpha|^k."""
+        t = self.table
+        if self._turns is None:
+            # phases in units of 2 pi / order, snapped to integers at roots of unity
+            turns = np.arctan2(t.ratios.imag, t.ratios.real)[None] * (t.order / (2.0 * np.pi))
+            root = np.rint(turns)
+            self._exact = np.abs(turns - root) <= ROOT_TOL
+            self._turns = np.where(self._exact, root, turns)
+        # Per k: k as the nearest float, and k mod order in integer
+        # arithmetic, as a column (a lone k as a pair of Python scalars).
+        if len(ks) == 1:
+            exps, reduced = float(ks[0]), ks[0] % t.order
+        else:
+            ints = np.array([(k, k % t.order) for k in ks], dtype=float)
+            exps, reduced = ints[:, :1], ints[:, 1:]
+        # Integer turns take the reduced k, so roots of unity stay exact at
+        # every k; so do powers that are 0, whose phase does not matter and
+        # must not overflow.
+        steps = np.where(self._exact | (size == 0.0), reduced, exps)
+        return size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order))
 
     def powers(self, ks: Sequence[int]) -> np.ndarray:
         """a_alpha^k / d_alpha^(k-1): one row per k, one column per non-trivial character.
 
         Non-finite powers are left for the caller to refuse.
         """
-        if min(ks, default=1) < 1:
-            raise ValueError("k must be positive")
-        t = self.table
-        if self._turns is None:
-            # phases in units of 2 pi / order, snapped to integers at roots of unity
-            turns = np.arctan2(t.ratios.imag, t.ratios.real) * (t.order / (2.0 * np.pi))
-            root = np.rint(turns)
-            self._exact = np.abs(turns - root) <= ROOT_TOL
-            self._turns = np.where(self._exact, root, turns)
-        # Per k: k as the nearest float, and k mod order in integer
-        # arithmetic, as a column.  A lone k stays a pair of Python scalars:
-        # numpy broadcasts those at the least cost, with the same bits.
-        if len(ks) == 1:
-            exps, reduced = float(ks[0]), ks[0] % t.order
-        else:
-            ints = np.array([(k, k % t.order) for k in ks], dtype=float)
-            exps, reduced = ints[:, :1], ints[:, 1:]
-        size = t.dims * self._mod**exps
-        if len(ks) > 1 and 2 in ks:
-            # numpy squares for a lone exponent of 2; the column must not move by an ulp
-            size[ints[:, 0] == 2.0] = t.dims * np.square(self._mod)
-        # Integer turns take the reduced k, so roots of unity stay exact at
-        # every k; so do powers that are 0, whose phase does not matter and
-        # must not overflow.
-        steps = np.where(self._exact | (size == 0.0), reduced, exps)
-        return (size * np.exp((2j * np.pi / t.order) * ((self._turns * steps) % t.order))).reshape(len(ks), -1)
+        return self._phased(ks, self._dims * self._magnitudes(ks))
 
     def coefficients(self, k: int) -> np.ndarray:
         """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
@@ -292,37 +308,50 @@ class _PowerEngine:
         _finite(c.tolist())
         return c
 
-    def qtv_many(self, ks: Sequence[int]) -> list[float]:
-        """qtv at each k; a non-finite power makes the distance non-finite, and raises."""
+    def _pass(self, ks: Sequence[int], distance: bool, bounds: bool) -> list[list[float]]:
+        """One power pass: the columns qtv if ``distance``, lower and upper if ``bounds``.
+
+        A non-finite value raises.
+        """
         t = self.table
         chunk = max(1, CHUNK_VALUES // t.width)
-        out: list[float] = []
+        qtv: list[float] = []
+        lower: list[float] = []
+        upper: list[float] = []
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), chunk):
                 part = ks[start : start + chunk]
-                values = t.synth(self.powers(part))
-                sums = [w * np.add.reduce(np.abs(v).reshape(len(part), -1), axis=1) for w, v in zip(t.weights, values)]
-                # added left to right, from the first sum rather than from 0.0: no extra array operation
-                out += _finite((0.5 * sum(sums[1:], sums[0])).tolist())
-        return out
+                mag = self._magnitudes(part)
+                size = self._dims * mag
+                if distance:
+                    values = t.synth(self._phased(part, size))
+                    sums = [w * np.add.reduce(np.abs(v).reshape(len(part), -1), axis=1) for w, v in zip(t.weights, values)]
+                    # added left to right, from the first sum rather than from 0.0: no extra array operation
+                    qtv += _finite((0.5 * sum(sums[1:], sums[0])).tolist())
+                if bounds:
+                    lower += _finite((0.5 * np.maximum.reduce(mag[:, t.lower], axis=1, initial=0.0)).tolist())
+                    # each row is scaled by a power of two, so its squares neither underflow nor
+                    # overflow; the 1/2 enters the exponent, so the result is rounded once
+                    _, e = np.frexp(np.maximum.reduce(size, axis=1, keepdims=True, initial=0.0))
+                    scaled = np.ldexp(size, -e)
+                    upper += _finite(np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), e[:, 0] - 1).tolist())
+        return [qtv] * distance + [lower, upper] * bounds
+
+    def qtv_many(self, ks: Sequence[int]) -> list[float]:
+        """qtv at each k."""
+        return self._pass(ks, True, False)[0]
 
     def bounds_many(self, ks: Sequence[int]) -> list[tuple[float, float]]:
-        """(lower, upper) at each k, each in its one-k form: a batched power or dot would move the last bit."""
-        t = self.table
-        low = float(np.maximum.reduce(self._mod[t.lower], initial=0.0))
-        # the sum is taken relative to the largest ratio, so no term overflows
-        top = float(np.maximum.reduce(self._mod, initial=0.0))
-        if top == 0.0:
-            return [(0.5 * math.pow(low, k), 0.0) for k in ks]
-        weights, rel = np.square(t.dims), self._mod / top
-        return [
-            (0.5 * math.pow(low, k), 0.5 * math.pow(top, k) * math.sqrt(float(weights @ rel ** (2 * k))))
-            for k in ks
-        ]
+        """(lower, upper) at each k."""
+        return list(zip(*self._pass(ks, False, True)))
+
+    def measure(self, ks: Sequence[int]) -> list[list[float]]:
+        """The columns qtv, lower and upper over the ks, from one power pass."""
+        return self._pass(ks, True, True)
 
     def steps(self, ks: Sequence[int]) -> list[WalkStep]:
         """qtv, lower and upper at each k."""
-        return [WalkStep(k, q, lo, up) for k, q, (lo, up) in zip(ks, self.qtv_many(ks), self.bounds_many(ks))]
+        return [WalkStep(k, q, lo, up) for k, q, lo, up in zip(ks, *self.measure(ks))]
 
     def qtv(self, k: int) -> float:
         return self.qtv_many((k,))[0]

@@ -8,9 +8,13 @@ with a ``stderr`` entry pin a refusal and are left alone) is run with
 by what the CLI writes.  Nothing else in a file changes: the config, the
 name and the ``.meta.json`` string stay as they are, and a case whose
 exit code, stdout, stderr or meta differs from the file is reported and
-not rewritten.  The script prints each case it changed with its number
-of changed rows, the columns that moved, and, per column, the largest
-relative difference from the value it replaces.
+not rewritten.  So is a case whose new rows break lower <= qtv <= upper
+by more than a relative ``SLACK`` (the ``_at_most`` rule of
+``tests/test_walks.py``), or in which any value moves by more than a
+relative ``SLACK`` from the value it replaces: a re-pin is for last
+digits, not for new numbers.  The script prints each case it changed
+with its number of changed rows, the columns that moved, and, per
+column, the largest relative difference from the value it replaces.
 
 Re-pin only from a commit whose distances are checked against an
 independent oracle (the dense synthesis in ``tests/test_walks.py``).
@@ -29,6 +33,15 @@ from pathlib import Path
 from qgwalk import cli
 
 RUN_DIR = Path(__file__).resolve().parent / "run"
+
+# INVARIANT_SLACK of tests/test_walks.py: the relative slack of the sandwich,
+# and the largest relative move a re-pin may make
+SLACK = 1e-12
+
+
+def at_most(x: float, y: float) -> bool:
+    """x <= y up to SLACK relative to the larger of the two, forgiving subnormal differences."""
+    return x <= y + SLACK * max(abs(x), abs(y)) + sys.float_info.min
 
 
 def dump(cases: list[dict]) -> str:
@@ -49,21 +62,26 @@ def run(config: dict, tmp: Path) -> tuple[int, str, str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue(), *texts
 
 
-def compare(old: str, new: str) -> tuple[int, dict[str, float]]:
-    """Changed rows, and the largest relative difference of each column that moved."""
+def compare(old: str, new: str) -> tuple[int, dict[str, float], list[str]]:
+    """Changed rows, the largest relative difference of each column that moved, and what forbids the re-pin."""
     old_rows = list(csv.reader(io.StringIO(old)))
     new_rows = list(csv.reader(io.StringIO(new)))
     if old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
         raise ValueError("header or row count changed")
-    changed, moved = 0, {}
+    changed, moved, faults = 0, {}, []
     for before, after in zip(old_rows[1:], new_rows[1:]):
         changed += before != after
+        row = dict(zip(new_rows[0], map(float, after)))
+        if not (at_most(row["lower"], row["qtv"]) and at_most(row["qtv"], row["upper"])):
+            faults.append(f"k = {after[0]}: lower <= qtv <= upper fails")
         for name, x, y in zip(old_rows[0], before, after):
             if x != y:
                 x, y = float(x), float(y)
                 rel = abs(x - y) / max(abs(x), abs(y))
                 moved[name] = max(moved.get(name, 0.0), rel)
-    return changed, moved
+                if rel > SLACK:
+                    faults.append(f"k = {after[0]}: {name} moved by {rel:.2e} relative")
+    return changed, moved, faults
 
 
 def main() -> int:
@@ -81,7 +99,11 @@ def main() -> int:
                     print(f"{path.name} {case['name']}: exit {code}, meta {meta!r}: not rewritten")
                     refused += 1
                     continue
-                rows, moved = compare(case["csv"], text)
+                rows, moved, faults = compare(case["csv"], text)
+                if faults:
+                    print(f"{path.name} {case['name']}: {faults[0]}: not rewritten")
+                    refused += 1
+                    continue
                 total_rows += text.count("\n") - 1
                 if rows:
                     changed_cases += 1

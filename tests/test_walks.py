@@ -262,39 +262,6 @@ class TestSpectralDistance:
         assert 0.0 < qtv(5e-320) < 1e-319  # subnormal: finite, but no relative precision
 
 
-class TestBounds:
-    def test_unit_bounds_zero(self):
-        a = CentralElement(5, {trivial_label(): 1.0})
-        assert ds_upper_bound(a, 3) == 0.0
-        assert ds_lower_bound(a, 3) == 0.0
-
-    def test_cosine_upper_bound_chain(self):
-        # the closed-form chain dominates the Fourier sum bound
-        for n in (5, 9, 15):
-            a = cutoff_state(n)
-            for k in (n, n * n, 2 * n * n):
-                chain = math.sqrt(
-                    math.exp(-k * math.pi**2 / n**2)
-                    / (2 * (1 - math.exp(-3 * k * math.pi**2 / n**2)))
-                )
-                assert ds_upper_bound(a, k) <= chain + 1e-12
-
-    def test_cosine_lower_bound_chain(self):
-        for n in (5, 9):
-            a = cutoff_state(n)
-            for k in (1, n, n * n):
-                closed = 0.5 * math.cos(math.pi / n) ** k
-                assert ds_lower_bound(a, k) == pytest.approx(closed, rel=1e-12)
-                assert closed >= 0.5 * math.exp(
-                    -k * math.pi**2 / (2 * n**2) - k * math.pi**4 / (4 * n**4)
-                )
-
-    def test_boundary_coefficient_keeps_half(self):
-        a = phi_p(5, 1)
-        for k in (1, 10, 100):
-            assert ds_lower_bound(a, k) == pytest.approx(0.5)
-
-
 class TestClassify:
     def test_cosine_converges_to_haar(self):
         for n in (3, 5, 9):
@@ -505,6 +472,93 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
+
+
+class TestBounds:
+    def test_unit_bounds_zero(self):
+        a = CentralElement(5, {trivial_label(): 1.0})
+        assert ds_upper_bound(a, 3) == 0.0
+        assert ds_lower_bound(a, 3) == 0.0
+
+    def test_cosine_upper_bound_chain(self):
+        # the closed-form chain dominates the Fourier sum bound
+        for n in (5, 9, 15):
+            a = cutoff_state(n)
+            for k in (n, n * n, 2 * n * n):
+                chain = math.sqrt(
+                    math.exp(-k * math.pi**2 / n**2)
+                    / (2 * (1 - math.exp(-3 * k * math.pi**2 / n**2)))
+                )
+                assert ds_upper_bound(a, k) <= chain + 1e-12
+
+    def test_cosine_lower_bound_chain(self):
+        for n in (5, 9):
+            a = cutoff_state(n)
+            for k in (1, n, n * n):
+                closed = 0.5 * math.cos(math.pi / n) ** k
+                assert ds_lower_bound(a, k) == pytest.approx(closed, rel=1e-12)
+                assert closed >= 0.5 * math.exp(
+                    -k * math.pi**2 / (2 * n**2) - k * math.pi**4 / (4 * n**4)
+                )
+
+    def test_boundary_coefficient_keeps_half(self):
+        a = phi_p(5, 1)
+        for k in (1, 10, 100):
+            assert ds_lower_bound(a, k) == pytest.approx(0.5)
+
+    # The reference: the bounds of the table's float moduli (the engine's own
+    # |r_alpha|, snapped to 1 within ROOT_TOL) in 50 digits.  Relative to
+    # those moduli the bounds are exact up to rounding; a k-th power of |r|
+    # would amplify the rounding of |r| itself k times.
+    @staticmethod
+    def _reference(table, k):
+        mods = np.abs(table.ratios)
+        mods[np.abs(mods - 1.0) <= walks.ROOT_TOL] = 1.0
+        with mpmath.workdps(50):
+            powered = np.array([mpmath.mpf(float(m)) ** k for m in mods], dtype=object)
+            lower = max(powered[table.lower], default=mpmath.mpf(0)) / 2
+            upper = mpmath.sqrt(mpmath.fsum((float(d) * p) ** 2 for d, p in zip(table.dims, powered))) / 2
+        return lower, upper
+
+    def _assert_bounds(self, table, ks):
+        engine = _PowerEngine(table)
+        for k, (lower, upper) in zip(ks, engine.bounds_many(ks)):
+            for value, ref in zip((lower, upper), self._reference(table, k)):
+                # relative 1e-15, measured against at least the smallest normal float
+                assert abs(value - ref) <= 1e-15 * max(abs(ref), sys.float_info.min), (k, value, ref)
+            assert upper >= lower, (k, lower, upper)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_TABLES))
+    def test_match_high_precision_reference(self, name):
+        self._assert_bounds(BATCH_TABLES[name], BATCH_KS)
+
+    @pytest.mark.parametrize("k, top", [(1, 1e-170), (2, 1e-85), (3, 10 ** (-170 / 3))])
+    def test_tiny_powers_are_scaled(self, k, top):
+        # |r|^k is about 1e-170, so d^2 |r|^(2k) underflows unless each row is scaled
+        a = random_central_state(6, np.random.default_rng(1170))
+        table = walks._kpn_table(a)
+        t = top / np.abs(table.ratios).max()
+        tiny = CentralElement(6, {l: c if l == trivial_label() else t * c for l, c in a.coeffs.items()})
+        validate_state(tiny).require()
+        engine = _PowerEngine(tiny)
+        assert engine.lower(k) > 1e-171
+        assert engine.upper(k) > 1e-171
+        self._assert_bounds(engine.table, [k])
+
+    @pytest.mark.parametrize("labels", [(rho_minus(0),), (rho_plus(1), rho_plus(4)), (rho_minus(2), rho_minus(3))])
+    def test_subnormal_powers_keep_the_sandwich(self, labels):
+        # no slack: a row scaled by its exponent rounds once, after the square root
+        for m in range(1, 60):
+            engine = _PowerEngine(CentralElement(5, {trivial_label(): 1.0, **dict.fromkeys(labels, m * 5e-324)}))
+            for k in (1, 2):
+                assert engine.lower(k) <= engine.qtv(k) <= engine.upper(k), (m, k)
+
+    def test_on_the_circle_at_huge_k(self):
+        # every ratio of phi_5 lies on the circle: its powers keep modulus 1 at k = 10**307
+        a = phi_p(5, 1)
+        self._assert_bounds(walks._kpn_table(a), [10**307])
+        assert ds_lower_bound(a, 10**307) == 0.5
+        assert ds_upper_bound(a, 10**307) == pytest.approx(0.5 * math.sqrt(4), rel=1e-15)
 
 
 class TestHugeK:
