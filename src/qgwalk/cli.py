@@ -11,7 +11,6 @@ primitive n-th root of unity, which keeps boundary cases exact.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -47,13 +46,13 @@ class WalkConfig:
     group: str  # "kp" | "kpn" | "kpn-dual"
     n: int | None
     coefficients: list[tuple[str, complex]]
+    # the same coefficients keyed by their parsed labels: the slot name (kp),
+    # an IrrepLabel (kpn), an (i, j) pair or "Xhat" (kpn-dual)
+    by_label: dict
     k_max: int = 50
     tolerance: float | None = None
     output: str | None = None
     raw_values: list = field(default_factory=list)  # original value forms, for round-trips
-    # the parsed label of each coefficient: the slot name (kp), an IrrepLabel
-    # (kpn), an (i, j) pair or "Xhat" (kpn-dual); each label is parsed and checked once
-    labels: list = field(default_factory=list)
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
@@ -154,7 +153,7 @@ def parse_config(doc) -> WalkConfig:
     if not isinstance(coeffs_doc, list):
         raise ConfigError("$.coefficients: list of [label, value] pairs required")
     coefficients: list[tuple[str, complex]] = []
-    labels: list = []
+    by_label: dict = {}
     seen: set[str] = set()
     for pos, item in enumerate(coeffs_doc):
         path = f"$.coefficients[{pos}]"
@@ -174,8 +173,8 @@ def parse_config(doc) -> WalkConfig:
         else:
             label = _parse_dual_label(text, n, path)
             text_norm = "Xhat" if label == "Xhat" else f"e:{label[0]},{label[1]}"
-        labels.append(label)
         coefficients.append((text_norm, _parse_complex(value, n, path)))
+        by_label[label] = coefficients[-1][1]
     k_max = doc.get("k_max", 50)
     if not _is_number(k_max, int) or k_max < 1:
         raise ConfigError("$.k_max: positive integer required")
@@ -188,7 +187,7 @@ def parse_config(doc) -> WalkConfig:
     extra = set(doc) - {"group", "n", "coefficients", "k_max", "tolerance", "output"}
     if extra:
         raise ConfigError(f"$: unknown keys {sorted(extra)}")
-    return WalkConfig(group, n, coefficients, k_max, tolerance, output, list(coeffs_doc), labels)
+    return WalkConfig(group, n, coefficients, by_label, k_max, tolerance, output, list(coeffs_doc))
 
 
 def serialize_config(cfg: WalkConfig) -> dict:
@@ -219,8 +218,24 @@ def tolerance_of(cfg: WalkConfig) -> float:
     return DEFAULT_TOL
 
 
-def _clamp(x: float) -> float:
-    return 0.0 if abs(x) < CLAMP else float(x)
+def _clamp(values) -> list:
+    """The values as Python floats, with those below CLAMP in modulus set to 0.0."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.abs(values) < CLAMP, 0.0, values).tolist()
+
+
+def _write_csv(header: str, rows, path: str | None, stdout) -> None:
+    """Write the header line and the rows of ints and floats to path, or to stdout.
+
+    Each value is written as its repr, which needs no CSV quoting: these
+    are the bytes csv.writer would write.
+    """
+    text = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    if path:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    else:
+        stdout.write(text)
 
 
 def _pick(doc: dict, *keys: str) -> dict:
@@ -242,9 +257,8 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     classifier's state check is the only one: a non-state raises
     NotAStateError.
     """
-    coeffs = dict(zip(cfg.labels, (value for _, value in cfg.coefficients)))
     if cfg.group == "kp":
-        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **coeffs})
+        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **cfg.by_label})
         c = kp8.kp_classify(g, tol)
         doc = {"outcome": c.kind, "branch": f"kp:{c.kind}", "evidence": _evidence_json(c.evidence)}
         if c.pal_index is not None:
@@ -253,13 +267,13 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
             doc["period"] = c.period
         return doc, _pick(doc, "outcome", "index", "period"), c.table
     if cfg.group == "kpn-dual":
-        a = du.DualCentralElement(cfg.n, coeffs)
+        a = du.DualCentralElement(cfg.n, cfg.by_label)
         c = du.dual_classify(a, tol)
         doc = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
         if c.epsilon is not None:
             doc["epsilon"] = c.epsilon.describe()
         return doc, _pick(doc, "outcome", "epsilon"), c.table
-    a = sk.CentralElement(cfg.n, coeffs, checked=True)
+    a = sk.CentralElement(cfg.n, cfg.by_label)
     c = wk.classify_limit(a, tol)
     doc = {"outcome": c.kind, "branch": c.branch, "evidence": _evidence_json(c.evidence)}
     if c.kind == "idempotent":
@@ -290,16 +304,8 @@ def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int
         _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
         return EXIT_OK
     ks = range(1, cfg.k_max + 1)
-    columns = np.array(wk._PowerEngine(table).measure(ks))
-    qtv, lower, upper = np.where(np.abs(columns) < CLAMP, 0.0, columns).tolist()
-    # a float's repr needs no CSV quoting: these are the bytes csv.writer would write
-    text = "k,qtv,lower,upper\n" + "".join(f"{k},{q!r},{lo!r},{up!r}\n" for k, q, lo, up in zip(ks, qtv, lower, upper))
     path = out_path or cfg.output
-    if path:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        stdout.write(text)
+    _write_csv("k,qtv,lower,upper", zip(ks, *_clamp(wk._PowerEngine(table).measure(ks))), path, stdout)
     _emit(json.dumps(meta, sort_keys=True), path and path + ".meta.json", stdout)
     return EXIT_OK
 
@@ -324,7 +330,7 @@ def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
 
 
 def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdout) -> int:
-    rows = []
+    keys, values = [], []
     for n in n_list:
         if n % 2 == 0 or n < 3:
             raise ConfigError(
@@ -339,20 +345,13 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
         ks = sorted({k for _, k in grid})
         qtv = dict(zip(ks, wk._PowerEngine(wk.cutoff_state(n)).qtv_many(ks)))  # a state by construction
         for c, k in grid:
-            rows.append((n, c, k, _clamp(qtv[k]), *(_clamp(v) for v in wk.cutoff_bounds(n, k))))
-
-    def write_rows(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "c", "k", "qtv", "lower", "upper_sharp", "upper_theorem"])
-        for row in rows:
-            writer.writerow([row[0], repr(float(row[1])), row[2]] + [repr(v) for v in row[3:]])
-
+            keys.append((n, float(c), k))
+            values.append((qtv[k], *wk.cutoff_bounds(n, k)))
+    rows = (key + tuple(row) for key, row in zip(keys, _clamp(values)))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "cutoff.csv"), "w", newline="") as handle:
-            write_rows(handle)
-    else:
-        write_rows(stdout)
+    path = out_dir and os.path.join(out_dir, "cutoff.csv")
+    _write_csv("n,c,k,qtv,lower,upper_sharp,upper_theorem", rows, path, stdout)
     return EXIT_OK
 
 

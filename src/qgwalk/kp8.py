@@ -94,10 +94,12 @@ class KPCoefficients:
 
     @functools.cached_property
     def _engine(self) -> _PowerEngine:
-        """The walk engine of this state, built on first use.
+        """The walk engine of this state, built on first use and kept.
 
         Callers ask for k = 1, 2, ... on the same state, one k per call,
-        so its table, moduli and phases are built once per state.
+        so its table, moduli and phases are built once per state.  It
+        depends on the frozen fields alone, so it cannot go stale, and as
+        no field it takes no part in equality, hashing or ``replace``.
         """
         return _PowerEngine(_kp_table(self))
 

@@ -21,7 +21,7 @@ wrapped mod n, i.e. 0-based row r and column (r + l) % n; the sign
 from __future__ import annotations
 
 import cmath
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -156,12 +156,10 @@ class CentralElement:
 
     n: int
     coeffs: dict[IrrepLabel, complex] = field(default_factory=dict)
-    checked: InitVar[bool] = False  # the caller has already checked every label with check_label
 
-    def __post_init__(self, checked: bool) -> None:
-        if not checked:
-            for label in self.coeffs:
-                check_label(self.n, label)
+    def __post_init__(self) -> None:
+        for label in self.coeffs:
+            check_label(self.n, label)
 
     def coefficient(self, label: IrrepLabel) -> complex:
         return complex(self.coeffs.get(label, 0.0))

@@ -259,22 +259,27 @@ class _PowerEngine:
         self._dims = t.dims[None]
         self._turns = None  # the phases, set on the first power; the bounds never need them
 
-    def _magnitudes(self, ks: Sequence[int]) -> np.ndarray:
-        """|r_alpha|^k: one row per k, one column per non-trivial character."""
+    def _magnitudes(self, ks: Sequence[int]) -> tuple[float | np.ndarray, np.ndarray]:
+        """Each k as the nearest float, and |r_alpha|^k.
+
+        The floats are a column, one row per k; the magnitudes have one
+        row per k and one column per non-trivial character.
+        """
         if min(ks, default=1) < 1:
             raise ValueError("k must be positive")
         if len(ks) == 1:
             # a lone k stays a Python scalar: numpy takes it at the least cost
-            return self._mod ** float(ks[0])
+            exps = float(ks[0])
+            return exps, self._mod**exps
         exps = np.array(ks, dtype=float)[:, None]
         mag = self._mod**exps
         if 2 in ks:
             # numpy squares for a lone exponent of 2; the column must not move by an ulp
             mag[exps[:, 0] == 2.0] = np.square(self._mod[0])
-        return mag
+        return exps, mag
 
-    def _phased(self, ks: Sequence[int], size: np.ndarray) -> np.ndarray:
-        """The powers d_alpha r_alpha^k from their moduli ``size`` = d_alpha |r_alpha|^k."""
+    def _phased(self, ks: Sequence[int], exps, size: np.ndarray) -> np.ndarray:
+        """The powers d_alpha r_alpha^k from the ks, the ks as floats (``exps``) and the moduli ``size``."""
         t = self.table
         if self._turns is None:
             # phases in units of 2 pi / order, snapped to integers at roots of unity
@@ -282,13 +287,8 @@ class _PowerEngine:
             root = np.rint(turns)
             self._exact = np.abs(turns - root) <= ROOT_TOL
             self._turns = np.where(self._exact, root, turns)
-        # Per k: k as the nearest float, and k mod order in integer
-        # arithmetic, as a column (a lone k as a pair of Python scalars).
-        if len(ks) == 1:
-            exps, reduced = float(ks[0]), ks[0] % t.order
-        else:
-            ints = np.array([(k, k % t.order) for k in ks], dtype=float)
-            exps, reduced = ints[:, :1], ints[:, 1:]
+        # k mod order in integer arithmetic, as a column (a lone k as a Python int)
+        reduced = ks[0] % t.order if len(ks) == 1 else np.array([k % t.order for k in ks], dtype=float)[:, None]
         # Integer turns take the reduced k, so roots of unity stay exact at
         # every k; so do powers that are 0, whose phase does not matter and
         # must not overflow.
@@ -300,7 +300,8 @@ class _PowerEngine:
 
         Non-finite powers are left for the caller to refuse.
         """
-        return self._phased(ks, self._dims * self._magnitudes(ks))
+        exps, mag = self._magnitudes(ks)
+        return self._phased(ks, exps, self._dims * mag)
 
     def coefficients(self, k: int) -> np.ndarray:
         """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
@@ -321,10 +322,10 @@ class _PowerEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(ks), chunk):
                 part = ks[start : start + chunk]
-                mag = self._magnitudes(part)
+                exps, mag = self._magnitudes(part)
                 size = self._dims * mag
                 if distance:
-                    values = t.synth(self._phased(part, size))
+                    values = t.synth(self._phased(part, exps, size))
                     sums = [w * np.add.reduce(np.abs(v).reshape(len(part), -1), axis=1) for w, v in zip(t.weights, values)]
                     # added left to right, from the first sum rather than from 0.0: no extra array operation
                     qtv += _finite((0.5 * sum(sums[1:], sums[0])).tolist())
