@@ -5,6 +5,7 @@ import pytest
 
 from qgwalk.algebra import AlgebraElement, AlgebraShape, haar_integral, unit
 from qgwalk.idempotents import (
+    ENUMERATION_CAP,
     HaarSpec,
     HGammaLSpec,
     HGammaLTauSpec,
@@ -21,7 +22,7 @@ from qgwalk.idempotents import (
     subgroups_znxzn,
     valid_sign_vectors,
 )
-from qgwalk.sekine import central_to_element, fourier_profile
+from qgwalk.sekine import CentralElement, central_to_element, fourier_profile, irrep_labels
 from conftest import probe_central, random_central, random_element
 
 
@@ -249,18 +250,17 @@ class TestEnumeration:
             enumerate_central_idempotents(25)
 
     def test_every_central_idempotent_is_its_own_limit(self):
-        # closing the loop with the walk classifier: driving the walk by a
-        # central idempotent returns that very idempotent
+        # closing the loop with the walk classifier: the walk driven by a
+        # central idempotent e, and the lazy walk (e + counit)/2, whose
+        # ratios are 1 where e's are and 1/2 elsewhere, both name e
         from qgwalk.sekine import element_to_central
         from qgwalk.walks import classify_limit
 
-        for n in (2, 3, 4, 6):
+        for n in range(2, ENUMERATION_CAP + 1):
             for spec in enumerate_central_idempotents(n):
-                a = element_to_central(build_idempotent(spec, n))
-                c = classify_limit(a)
-                if isinstance(spec, HaarSpec):
-                    assert c.kind == "haar"
-                else:
-                    assert c.kind == "idempotent"
-                    rebuilt = build_idempotent(c.spec, n)
-                    assert rebuilt.allclose(build_idempotent(spec, n), 1e-9), (n, spec, c.spec)
+                e = element_to_central(build_idempotent(spec, n))
+                lazy = CentralElement(n, {l: (e.coefficient(l) + l.dim) / 2 for l in irrep_labels(n)})
+                for a in (e, lazy):
+                    c = classify_limit(a)
+                    assert c.kind == ("haar" if isinstance(spec, HaarSpec) else "idempotent")
+                    assert c.spec == spec, (n, spec, c.spec)
