@@ -13,6 +13,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,15 @@ from .algebra import (
     unit,
 )
 from .sekine import (
+    RHO_MINUS,
+    RHO_PLUS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     FourierProfile,
+    IrrepLabel,
     fourier_profile,
     genuine_x_range,
+    trivial_label,
 )
 
 # The largest n that ``enumerate_central_idempotents`` accepts by default.
@@ -38,6 +45,11 @@ ENUMERATION_CAP = 24
 
 class InvalidSpecError(ValueError):
     """Parameters do not describe an idempotent state."""
+
+
+class AmbiguousBoundaryError(RuntimeError):
+    """A walk's limit cannot be named: a ratio sits too close to the unit
+    circle to classify reliably, or the labels at 1 name no idempotent state."""
 
 
 @dataclass(frozen=True)
@@ -93,27 +105,49 @@ class HGammaLTauSpec:
 IdempotentSpec = HaarSpec | HGammaSpec | HGammaLSpec | HGammaLTauSpec
 
 
+def hermite_form(n: int, points) -> tuple[int, int, int]:
+    """(a, c, b): the Hermite form (a, c), (0, b) of the subgroup of Z_n x Z_n that ``points`` generate.
+
+    The rows span the points together with nZ^2, in the convention of
+    ``subgroups_znxzn``, so the subgroup has n^2 / (a b) members.  Each
+    point (x, y) enters by Euclid's algorithm on the rows (a, c) and
+    (x, y), which leaves the gcd row (a, c) and a row (0, y) that joins
+    (0, b) by a gcd: exact integer arithmetic, O(log n) per point.
+    """
+    a, c, b = n, 0, n
+    for x, y in points:
+        x, y = int(x) % n, int(y) % n
+        while x:
+            q = a // x
+            a, c, x, y = x, y, a - q * x, c - q * y
+        b = math.gcd(b, y)
+        c %= b
+    return a, c, b
+
+
+def _members(n: int, a: int, c: int, b: int) -> frozenset[tuple[int, int]]:
+    """The members (s a, s c + t b) of the subgroup with Hermite form (a, c), (0, b)."""
+    return frozenset(((s * a) % n, (s * c + t * b) % n) for s in range(n // a) for t in range(n // b))
+
+
 def subgroup_from_generators(n: int, generators) -> frozenset[tuple[int, int]]:
     """Closure of a generator list inside Z_n x Z_n."""
-    gens = [(int(a) % n, int(b) % n) for a, b in generators]
-    members = {(0, 0)}
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            for a, b in list(members):
-                s = ((a + g[0]) % n, (b + g[1]) % n)
-                if s not in members:
-                    members.add(s)
-                    changed = True
-    return frozenset(members)
+    return _members(n, *hermite_form(n, generators))
 
 
 def is_subgroup(n: int, members) -> bool:
+    """A set is a subgroup when it holds (0, 0) and as many points as the subgroup it generates."""
     mset = set(members)
-    if (0, 0) not in mset:
-        return False
-    return all(((a + c) % n, (b + d) % n) in mset for a, b in mset for c, d in mset)
+    a, _, b = hermite_form(n, mset)
+    return (0, 0) in mset and len(mset) == n * n // (a * b)
+
+
+def annihilator(n: int, points) -> frozenset[tuple[int, int]]:
+    """The (i, j) with i x + j y = 0 mod n at every point (x, y), read off the points' Hermite form."""
+    a, c, b = hermite_form(n, points)
+    i, j = np.indices((n, n))
+    on = ((i * a + j * c) % n == 0) & ((j * b) % n == 0)
+    return frozenset(zip(*(ix.tolist() for ix in np.nonzero(on))))
 
 
 def subgroups_znxzn(n: int) -> list[frozenset[tuple[int, int]]]:
@@ -123,25 +157,8 @@ def subgroups_znxzn(n: int) -> list[frozenset[tuple[int, int]]]:
     Hermite forms (a, c), (0, b) with a | n, b | n, 0 <= c < b and
     b | (n/a) c enumerate each exactly once.
     """
-    out = []
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    for a in divisors:
-        for b in divisors:
-            for c in range(b):
-                if ((n // a) * c) % b != 0:
-                    continue
-                members = set()
-                for s in range(n // a):
-                    for t in range(n // b):
-                        members.add(((s * a) % n, (s * c + t * b) % n))
-                out.append(frozenset(members))
-    return out
-
-
-def has_reflection_symmetry(n: int, members) -> bool:
-    """Closure of Gamma under (k, l) -> (k, -l)."""
-    mset = set(members)
-    return all((a, (-b) % n) in mset for a, b in mset)
+    return [_members(n, a, c, b) for a in divisors for b in divisors for c in range(b) if (n // a) * c % b == 0]
 
 
 def sign_vector_dft(tau, p: int) -> np.ndarray:
@@ -364,3 +381,42 @@ def enumerate_central_idempotents(
         seen.add(key)
         out.append(spec)
     return out
+
+
+_PARTNER = {RHO_PLUS: RHO_MINUS, RHO_MINUS: RHO_PLUS, SIGMA_PLUS: SIGMA_MINUS, SIGMA_MINUS: SIGMA_PLUS}
+
+
+def spec_from_labels(n: int, labels) -> IdempotentSpec:
+    """The central idempotent state with coefficient d_alpha at ``labels`` and the trivial label, else 0.
+
+    Its matrix part on band l, row m, is (rho_l^+ - rho_l^-) + (-1)^m
+    (sigma_l^+ - sigma_l^-), zero iff the rho and sigma labels come in +-
+    pairs.  Then its abelian part is 2 sum eta^(iu + jw) over the points
+    that the labels name (rho_u^+- names (u, 0), sigma_u^+- (u, n/2) and
+    X(u, v) both (u, +-v)): h_Gamma, Gamma their annihilator, if the
+    points form a subgroup.  Else it is h_(2,l), h_(n,1,0,tau) or
+    h_(n/2,2,l,tau) (``idempotent_profile``), which holds rho_m^(tau_t)
+    and, for q = 2, sigma_m^(tau_t (-1)^l) at each m = q t of qZ_n ({0}
+    for h_(2,l)); q, l and tau are read off sigma_0 and the rho labels,
+    which must then be the spec's own.  Decided exactly: raises
+    AmbiguousBoundaryError when no central idempotent state has the labels.
+    """
+    ones = set(labels) | {trivial_label()}
+    if ones == {trivial_label()}:
+        return HaarSpec()
+    if all(IrrepLabel(_PARTNER[label.kind], label.index) in ones for label in ones if label.dim == 1):
+        points = {(label.index, n // 2 * (label.kind in (SIGMA_PLUS, SIGMA_MINUS))) for label in ones if label.dim == 1}
+        points |= {(label.index, s * label.sub % n) for label in ones if label.dim == 2 for s in (1, -1)}
+        if is_subgroup(n, points):
+            return HGammaSpec(annihilator(n, points))
+    else:
+        q = 2 if {IrrepLabel(SIGMA_PLUS, 0), IrrepLabel(SIGMA_MINUS, 0)} & ones else 1
+        l = int(q == 2 and IrrepLabel(SIGMA_PLUS, 0) not in ones)
+        rows = range(0, n, q) if any(label.kind in (RHO_PLUS, RHO_MINUS) and label.index for label in ones) else (0,)
+        tau = tuple(1 if IrrepLabel(RHO_PLUS, m) in ones else -1 for m in rows)
+        own = {IrrepLabel(RHO_PLUS if s > 0 else RHO_MINUS, q * t) for t, s in enumerate(tau)}
+        if q == 2:
+            own |= {IrrepLabel(SIGMA_PLUS if s * (-1) ** l > 0 else SIGMA_MINUS, 2 * t) for t, s in enumerate(tau)}
+        if ones == own and tau in valid_sign_vectors(len(tau)):
+            return HGammaLSpec(2, l) if len(tau) == 1 else HGammaLTauSpec(n // q, q, l, tau)
+    raise AmbiguousBoundaryError(f"no central idempotent state has the labels {sorted(map(str, ones))} at 1")

@@ -3,10 +3,11 @@
 The k-th convolution power of a = sum a_alpha chi_alpha has coefficients
 a_alpha^k / d_alpha^(k-1), so the whole walk is driven by the ratios
 a_alpha / d_alpha.  A walk converges when every nontrivial ratio lies in
-the open unit disc or equals 1; the limit is then read off from the
-coefficients that sit exactly at 1, and reconstructed as one of the
-central idempotent states.  Ratios on the unit circle away from 1 force
-divergence, cyclic when the angles are commensurable.
+the open unit disc or equals 1.  The limit of a convergent walk of
+central states is a central idempotent state, named exactly from the
+labels whose ratio is 1 (``idempotents.spec_from_labels``).  Ratios on
+the unit circle away from 1 force divergence, cyclic when the angles
+are commensurable.
 
 The walk engine here also drives the Kac-Paljutkin group and the dual of
 KP_n: each group describes itself by a WalkTable.
@@ -22,20 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL,
-    AlgebraShape,
-    l1_norm,
-)
+from .algebra import DEFAULT_TOL, AlgebraShape
 from .idempotents import (
+    AmbiguousBoundaryError,
     HaarSpec,
     HGammaLSpec,
     HGammaLTauSpec,
     HGammaSpec,
     IdempotentSpec,
-    build_idempotent,
-    has_reflection_symmetry,
-    is_subgroup,
+    spec_from_labels,
 )
 from .sekine import (
     RHO_MINUS,
@@ -46,7 +42,6 @@ from .sekine import (
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     _coeff_slot,
     _split_coeffs,
-    central_to_element,
     rho_plus,
     trivial_label,
     validate_state,
@@ -62,24 +57,12 @@ ROOT_TOL = 1e-12
 # magnitude above the tolerance would move it onto the circle.
 AMBIGUITY_FACTOR = 10.0
 
-# A limit has integer coefficients d_alpha, so its coordinates carry only
-# rounding error (about 1e-15) and its non-zero matrix entries are at
-# least 1: RECOGNITION_TOL tells zero from non-zero far from both, and
-# REBUILD_TOL, the L1 distance allowed between the limit and the
-# idempotent rebuilt from its spec, sits far above that rounding too.
-RECOGNITION_TOL = 1e-8
-REBUILD_TOL = 1e-6
-
 # The engine powers and synthesises the steps of a walk a chunk of k at a
 # time: a chunk holds about CHUNK_VALUES complex values per array (the
 # table's ``width`` values per k), so a long walk on a large n needs no
 # more memory than a short one.  2^13 values (128 KiB) per array keep a
 # walk-mix pass as fast as 2^14 with half the transient memory.
 CHUNK_VALUES = 2**13
-
-
-class AmbiguousBoundaryError(RuntimeError):
-    """A ratio sits too close to the unit circle to classify reliably."""
 
 
 class WalkTable(NamedTuple):
@@ -461,46 +444,8 @@ class LimitClassification:
     table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
 
 
-def _recognize_idempotent(limit: CentralElement, tol: float = RECOGNITION_TOL) -> IdempotentSpec:
-    """Match a limit element against the idempotent-state normal forms."""
-    n = limit.n
-    x = central_to_element(limit)
-    ab = x.abelian.reshape(n, n).real
-    mat = x.matrix
-    peak = ab.max()
-    support = {(i, j) for i in range(n) for j in range(n) if ab[i, j] > 0.5 * peak}
-    if np.abs(mat).max() <= tol:
-        if not is_subgroup(n, support):
-            raise AmbiguousBoundaryError("limit support is not a subgroup")
-        if not has_reflection_symmetry(n, support):
-            raise AmbiguousBoundaryError("limit support lacks reflection symmetry")
-        spec: IdempotentSpec = HGammaSpec(frozenset(support))
-    else:
-        i_support = sorted({i for i, _ in support})
-        j_support = sorted({j for _, j in support})
-        q = n // len(j_support)
-        diag_rows = [m for m in range(1, n + 1) if abs(mat[m - 1, m - 1]) > tol]
-        residues = {m % q for m in diag_rows}
-        if len(residues) != 1:
-            raise AmbiguousBoundaryError("diagonal support has no single residue")
-        l = residues.pop()
-        if i_support == list(range(n)):
-            spec = HGammaLSpec(q, l)
-        else:
-            p = n // len(i_support)
-            base = diag_rows[0] - 1  # 0-based row; tau read off its band values
-            tau = tuple(
-                int(round((mat[base, (base + t * q) % n] / q).real)) for t in range(n // q)
-            )
-            spec = HGammaLTauSpec(p, q, l, tau)
-    rebuilt = build_idempotent(spec, n)
-    if l1_norm(rebuilt - x) > REBUILD_TOL:
-        raise AmbiguousBoundaryError(f"reconstructed {spec} does not match the limit")
-    return spec
-
-
-def _branch_name(a: CentralElement, spec: IdempotentSpec, tol: float) -> str:
-    even = a.n % 2 == 0
+def _branch_name(n: int, spec: IdempotentSpec) -> str:
+    even = n % 2 == 0
     if isinstance(spec, HGammaSpec):
         return "even:rho-paired" if even else "odd:rho-paired"
     if isinstance(spec, HGammaLSpec):
@@ -540,12 +485,10 @@ def classify_limit(
     found = {"evidence": c.evidence, "notes": notes, "table": table}
     if c.diverges:
         return LimitClassification("diverges", period=c.period, branch="boundary-divergence", **found)
-    if not c.ones:
-        return LimitClassification("haar", spec=HaarSpec(), branch="haar", **found)
     # lim a^(*k) has coefficient d_alpha where the ratio is 1, else 0
-    limit = CentralElement(a.n, {trivial_label(): 1.0, **{label: float(label.dim) for label in c.ones}})
-    spec = _recognize_idempotent(limit)
-    return LimitClassification("idempotent", spec=spec, branch=_branch_name(a, spec, tol), **found)
+    spec = spec_from_labels(a.n, c.ones)
+    kind = "haar" if isinstance(spec, HaarSpec) else "idempotent"
+    return LimitClassification(kind, spec=spec, branch=_branch_name(a.n, spec), **found)
 
 
 def cutoff_state(n: int) -> CentralElement:

@@ -6,24 +6,70 @@ import pytest
 from qgwalk.algebra import AlgebraElement, AlgebraShape, haar_integral, unit
 from qgwalk.idempotents import (
     ENUMERATION_CAP,
+    AmbiguousBoundaryError,
     HaarSpec,
     HGammaLSpec,
     HGammaLTauSpec,
     HGammaSpec,
     InvalidSpecError,
+    annihilator,
     build_idempotent,
     enumerate_central_idempotents,
-    has_reflection_symmetry,
+    hermite_form,
     idempotent_profile,
     is_central_functional,
     is_idempotent_state,
     is_subgroup,
+    spec_from_labels,
     subgroup_from_generators,
     subgroups_znxzn,
     valid_sign_vectors,
 )
-from qgwalk.sekine import CentralElement, central_to_element, fourier_profile, irrep_labels
+from qgwalk.sekine import (
+    CentralElement,
+    central_to_element,
+    element_to_central,
+    fourier_profile,
+    irrep_labels,
+    rho_minus,
+    rho_plus,
+    sigma_minus,
+    sigma_plus,
+    x_label,
+)
 from conftest import probe_central, random_central, random_element
+
+
+def closed_under_sums(n, members):
+    """The brute-force |S|^2 subgroup test: (0, 0) and every sum of two members."""
+    mset = set(members)
+    return (0, 0) in mset and all(((a + c) % n, (b + d) % n) in mset for a, b in mset for c, d in mset)
+
+
+def closure(n, points):
+    """The subgroup that the points generate, by adding them until nothing changes."""
+    members = {(0, 0)}
+    while True:
+        grown = members | {((a + x) % n, (b + y) % n) for a, b in members for x, y in points}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def brute_annihilator(n, points):
+    return frozenset(
+        (i, j) for i in range(n) for j in range(n) if all((i * x + j * y) % n == 0 for x, y in points)
+    )
+
+
+def has_reflection_symmetry(n, members):
+    """Closure of Gamma under (k, l) -> (k, -l)."""
+    return all((a, (-b) % n) in members for a, b in members)
+
+
+def lazy_walk(e):
+    """(e + counit)/2: ratio 1 where e's ratio is 1, and 1/2 where e's is 0."""
+    return CentralElement(e.n, {l: (e.coefficient(l) + l.dim) / 2 for l in irrep_labels(e.n)})
 
 
 def all_specs(n):
@@ -54,6 +100,36 @@ class TestSubgroups:
             for members in subgroups_znxzn(n):
                 assert is_subgroup(n, members)
                 assert n * n % len(members) == 0
+
+
+class TestHermiteForm:
+    """is_subgroup and annihilator read off the Hermite form, against the brute-force oracles."""
+
+    def test_every_subgroup(self):
+        for n in range(1, 13):
+            for members in subgroups_znxzn(n):
+                a, c, b = hermite_form(n, members)
+                assert n % a == 0 and n % b == 0 and 0 <= c < b and (n // a) * c % b == 0
+                assert len(members) == n * n // (a * b)
+                assert closed_under_sums(n, members) and is_subgroup(n, members)
+                assert subgroup_from_generators(n, members) == members
+                dual = annihilator(n, members)
+                assert dual == brute_annihilator(n, members), (n, sorted(members))
+                assert annihilator(n, dual) == members
+
+    def test_random_sets(self, rng):
+        for n in range(1, 13):
+            groups = subgroups_znxzn(n)
+            for _ in range(60):
+                size = int(rng.integers(1, min(n * n, 12) + 1))
+                points = {tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(size)}
+                # a subgroup with points added or taken away is a near miss for the size test
+                group = set(groups[int(rng.integers(len(groups)))])
+                near = group ^ points if rng.random() < 0.5 else group | points
+                for members in (points, points | {(0, 0)}, near):
+                    assert is_subgroup(n, members) == closed_under_sums(n, members), (n, sorted(members))
+                    assert annihilator(n, members) == brute_annihilator(n, members), (n, sorted(members))
+                    assert subgroup_from_generators(n, members) == closure(n, members)
 
 
 class TestSignVectors:
@@ -171,9 +247,7 @@ class TestCentrality:
         for n in (3, 4, 6):
             for members in subgroups_znxzn(n):
                 x = build_idempotent(HGammaSpec(members), n)
-                assert is_central_functional(x) == has_reflection_symmetry(
-                    n, members
-                ), (n, sorted(members))
+                assert is_central_functional(x) == has_reflection_symmetry(n, members), (n, sorted(members))
 
     def test_h_ql_central_iff_q_is_two(self):
         for n in (4, 6, 8, 9):
@@ -253,14 +327,53 @@ class TestEnumeration:
         # closing the loop with the walk classifier: the walk driven by a
         # central idempotent e, and the lazy walk (e + counit)/2, whose
         # ratios are 1 where e's are and 1/2 elsewhere, both name e
-        from qgwalk.sekine import element_to_central
         from qgwalk.walks import classify_limit
 
         for n in range(2, ENUMERATION_CAP + 1):
             for spec in enumerate_central_idempotents(n):
                 e = element_to_central(build_idempotent(spec, n))
-                lazy = CentralElement(n, {l: (e.coefficient(l) + l.dim) / 2 for l in irrep_labels(n)})
-                for a in (e, lazy):
+                for a in (e, lazy_walk(e)):
                     c = classify_limit(a)
                     assert c.kind == ("haar" if isinstance(spec, HaarSpec) else "idempotent")
                     assert c.spec == spec, (n, spec, c.spec)
+
+
+class TestSpecFromLabels:
+    def test_haar(self):
+        assert spec_from_labels(5, []) == HaarSpec()
+
+    @pytest.mark.parametrize(
+        "n, labels",
+        [
+            (5, {rho_plus(1)}),  # unpaired, and not every rho_m
+            (5, {rho_minus(1), x_label(0, 1)}),  # unpaired rho- with an X label
+            (5, {rho_minus(0), rho_plus(1), rho_minus(1)}),  # paired, but (0, 0) and (1, 0) are no subgroup
+            (3, {rho_minus(1), rho_minus(2)}),  # every rho_m, with tau = (+, -, -) of negative DFT
+            (4, {sigma_plus(0), sigma_minus(0)}),  # both signs of sigma_0 with an unpaired rho_0
+            (4, {sigma_minus(0), rho_plus(2), sigma_plus(2)}),  # h_(2,2,1,(+,+)) but with sigma_2^+
+        ],
+    )
+    def test_labels_naming_no_idempotent_are_refused(self, n, labels):
+        with pytest.raises(AmbiguousBoundaryError):
+            spec_from_labels(n, labels)
+
+    def test_spec_labels_with_one_label_dropped_are_refused(self):
+        for n in (4, 6, 8):
+            for spec in enumerate_central_idempotents(n):
+                if isinstance(spec, (HaarSpec, HGammaSpec)):
+                    continue
+                ones = set(element_to_central(build_idempotent(spec, n)).coeffs) - {rho_plus(0)}
+                assert spec_from_labels(n, ones) == spec
+                for label in ones if len(ones) > 1 else ():  # h_(2,l) less its one label is Haar
+                    with pytest.raises(AmbiguousBoundaryError):
+                        spec_from_labels(n, ones - {label})
+
+    def test_lazy_walk_to_h_gamma_at_n_201(self):
+        from qgwalk.walks import classify_limit
+
+        n = 201
+        gamma = subgroup_from_generators(n, [(0, 1), (3, 0)])
+        assert len(gamma) == 13467
+        e = element_to_central(build_idempotent(HGammaSpec(gamma), n))
+        c = classify_limit(lazy_walk(e))
+        assert c.kind == "idempotent" and c.spec == HGammaSpec(gamma)
