@@ -170,9 +170,9 @@ def positivity_failures(abelian, matrix, tol: float = DEFAULT_TOL) -> list[tuple
     """One (condition, witness) per violated positivity condition of abelian + matrix.
 
     The abelian part must be real and nonnegative, with its worst entry
-    as witness (index into ``abelian``'s own shape); the matrix block
-    must be hermitian (witness: the largest deviation) and then positive
-    semi-definite (witness: the smallest eigenvalue).
+    as witness (index into ``abelian``'s own shape); the matrix part, a
+    block or a stack of blocks, must be hermitian (witness: the largest
+    deviation) and then positive semi-definite (the smallest eigenvalue).
     """
     failures: list[tuple[str, object]] = []
     imag = np.abs(abelian.imag)
@@ -184,11 +184,11 @@ def positivity_failures(abelian, matrix, tol: float = DEFAULT_TOL) -> list[tuple
         idx = np.unravel_index(abelian.real.argmin(), abelian.shape)
         failures.append(("negative abelian coefficient", (tuple(int(k) for k in idx), float(rmin))))
     if matrix.size:
-        hdev = np.abs(matrix - matrix.conj().T).max()
+        hdev = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max()
         if hdev > tol:
             failures.append(("matrix not hermitian", float(hdev)))
         else:
-            emin = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)).min())
+            emin = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().swapaxes(-1, -2))).min())
             if emin < -tol:
                 failures.append(("matrix not PSD", emin))
     return failures

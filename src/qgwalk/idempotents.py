@@ -39,7 +39,7 @@ from .sekine import (
     trivial_label,
 )
 
-# The largest n that ``enumerate_central_idempotents`` accepts by default.
+# The largest n that ``enumerate_central_idempotents`` accepts.
 ENUMERATION_CAP = 24
 
 
@@ -344,18 +344,14 @@ def is_central_functional(x: AlgebraElement, tol: float = DEFAULT_TOL, group: st
     return True
 
 
-def enumerate_central_idempotents(
-    n: int,
-    cap: int = ENUMERATION_CAP,
-    tol: float = DEFAULT_TOL,
-) -> list[IdempotentSpec]:
+def enumerate_central_idempotents(n: int) -> list[IdempotentSpec]:
     """All idempotent-state parameters whose functional is central.
 
-    Enumerates every candidate of the four families, filters by the
-    exact centrality test, and deduplicates by the canonical element.
+    Enumerates every candidate of the four families and filters by the
+    exact centrality test; no two candidates build the same element.
     """
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     candidates: list[IdempotentSpec] = [HaarSpec()]
     candidates += [HGammaSpec(members) for members in subgroups_znxzn(n)]
     for q in range(2, n + 1):
@@ -366,21 +362,7 @@ def enumerate_central_idempotents(
             p = n // q
             for tau in valid_sign_vectors(p):
                 candidates += [HGammaLTauSpec(p, q, l, tau) for l in range(q)]
-
-    out: list[IdempotentSpec] = []
-    seen: set[bytes] = set()
-    for spec in candidates:
-        x = build_idempotent(spec, n)
-        if not is_idempotent_state(x, tol=max(tol, 1e-10)):
-            continue
-        if not is_central_functional(x, tol=max(tol, 1e-9)):
-            continue
-        key = np.round(np.concatenate([x.abelian, x.matrix.reshape(-1)]), 8).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(spec)
-    return out
+    return [spec for spec in candidates if is_idempotent_state(x := build_idempotent(spec, n)) and is_central_functional(x)]
 
 
 _PARTNER = {RHO_PLUS: RHO_MINUS, RHO_MINUS: RHO_PLUS, SIGMA_PLUS: SIGMA_MINUS, SIGMA_MINUS: SIGMA_PLUS}

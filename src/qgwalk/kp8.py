@@ -150,7 +150,8 @@ def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:
 
 
 def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
-    """Exact distance of the k-th convolution power to the Haar state (g1 is 1)."""
+    """Exact distance of the k-th convolution power to the Haar state."""
+    kp_validate_state(g).require()
     return g._engine.qtv(k)
 
 

@@ -192,13 +192,50 @@ def _split_coeffs(n: int, flat: np.ndarray):
     return (*np.moveaxis(bands, -2, 0), flat[..., 4 * n :].reshape(*lead, n, n // 2 + 1))
 
 
-def _coeff_arrays(a: CentralElement):
-    """Coefficients split into dense per-kind arrays (zeros where absent)."""
+def _coeff_vector(a: CentralElement) -> np.ndarray:
+    """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent)."""
     n = a.n
     flat = np.zeros(4 * n + n * (n // 2 + 1), dtype=np.complex128)
     for label, c in a.coeffs.items():
         flat[_coeff_slot(n, label)] = c
-    return _split_coeffs(n, flat)
+    return flat
+
+
+def fourier_density(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density of the central element with flat coefficients ``flat``, in the Fourier picture.
+
+    Returns (abelian, beta, s): the 2-D DFT of the abelian part, the (l, w)
+    grid S with S[:, 0] = rp + rm, S[:, n/2] = sp + sm (even n) and
+    S[:, +-v] = xv[:, v], which ``np.fft`` lists at [-j, -i] for (i, j); and
+    the spectra beta = DFT(b) and DFT(s) of the rho bands b = rp - rm and
+    the sigma bands s = sp - sm, whose circulants make up the matrix block
+    C(b) + diag((-1)^m) C(s) over the 1-based rows m (``density_blocks``).
+    """
+    half = n // 2 + 1
+    rp, rm, sp, sm, xv = _split_coeffs(n, flat)
+    rows = np.empty((*flat.shape[:-1], half + 2, n), dtype=np.complex128)  # S[:, v] for v <= n/2, then b and s
+    rows[..., :half, :] = xv.swapaxes(-1, -2)  # its rows v = 0 and n/2 hold no label
+    rows[..., 0, :] = rp + rm
+    if n % 2 == 0:
+        rows[..., n // 2, :] = sp + sm
+    rows[..., half, :] = rp - rm
+    rows[..., half + 1, :] = sp - sm
+    # the DFT over l of the distinct rows; the mirrored rows S[:, n - v] copy theirs
+    over_l = np.fft.fft(rows)
+    abelian = np.fft.fft(np.concatenate((over_l[..., :half, :], over_l[..., n - half : 0 : -1, :]), axis=-2), axis=-2)
+    return abelian, over_l[..., half, :], over_l[..., half + 1, :]
+
+
+def density_blocks(beta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The matrix block of ``fourier_density`` as a stack of blocks, unitarily equivalent to it.
+
+    Odd n: the 1x1 blocks beta_w.  Even n: diag((-1)^m) swaps the frequencies w and w + h, h = n/2,
+    so the block splits into the 2x2 blocks [[beta_w, -s_(w+h)], [-s_w, beta_(w+h)]], w < h.
+    """
+    h, odd = divmod(beta.shape[-1], 2)
+    if odd:
+        return beta[..., None, None]
+    return np.stack((beta[..., :h], -s[..., h:], -s[..., :h], beta[..., h:]), axis=-1).reshape(*beta.shape[:-1], h, 2, 2)
 
 
 def _element_arrays(n, rp, rm, sp, sm, xv):
@@ -235,19 +272,18 @@ def central_to_element(a: CentralElement) -> AlgebraElement:
     a_{rho_l^+} - a_{rho_l^-} + (-1)^i (a_{sigma_l^+} - a_{sigma_l^-}).
     """
     n = a.n
-    abelian, mat = _element_arrays(n, *_coeff_arrays(a))
+    abelian, mat = _element_arrays(n, *_split_coeffs(n, _coeff_vector(a)))
     return AlgebraElement(AlgebraShape.sekine(n), abelian.reshape(-1), mat)
 
 
-def element_to_central(x: AlgebraElement, tol: float = DEFAULT_TOL, n: int | None = None) -> CentralElement:
+def element_to_central(x: AlgebraElement, tol: float = DEFAULT_TOL) -> CentralElement:
     """Project onto the span of characters via a_alpha = int chi_alpha^* x.
 
     The projection reads the coefficients off the Fourier profile of x
     (see ``profile_to_central``).  Raises NotCentralError when the
     projection residual exceeds tol * max(1, l2_norm(x)).
     """
-    if n is None:
-        n = x.shape.matrix_dim
+    n = x.shape.matrix_dim
     if x.shape != AlgebraShape.sekine(n):
         raise ValueError("element does not live in C(KP_n)")
     result = profile_to_central(fourier_profile(x))
@@ -287,7 +323,8 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     Requires every coefficient to be finite, the trivial coefficient to
     be 1, and F(a) positive: all abelian coordinates real and
     nonnegative and the matrix block positive semi-definite, as
-    ``algebra.positivity_failures`` decides.
+    ``algebra.positivity_failures`` decides on ``fourier_density``'s abelian
+    values and ``density_blocks`` (so "matrix not hermitian" measures the blocks).
     """
     failures: list[tuple[str, object]] = [
         ("coefficient not finite", (str(l), complex(c))) for l, c in a.coeffs.items() if not cmath.isfinite(c)
@@ -297,8 +334,12 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     norm = a.coefficient(trivial_label())
     if abs(norm - 1.0) > tol:
         failures.append(("normalization", norm))
-    x = central_to_element(a)
-    failures += positivity_failures(x.abelian.reshape(a.n, a.n), x.matrix, tol)
+    abelian, beta, s = fourier_density(a.n, _coeff_vector(a))
+    for name, witness in positivity_failures(abelian, density_blocks(beta, s), tol):
+        if isinstance(witness, tuple):  # an abelian witness, whose (i, j) the FFT lists at [-j, -i]
+            (q, p), value = witness
+            witness = ((-p % a.n, -q % a.n), value)
+        failures.append((name, witness))
     return StateReport(not failures, failures)
 
 
@@ -393,7 +434,7 @@ def fourier_profile(x: AlgebraElement) -> FourierProfile:
 def central_profile(a: CentralElement) -> FourierProfile:
     """Fourier profile of a central element, via the closed block forms of ``fourier_block``."""
     n = a.n
-    rp, rm, sp, sm, xv = _coeff_arrays(a)
+    rp, rm, sp, sm, xv = _split_coeffs(n, _coeff_vector(a))
     _, _, signs = _tables(n)
     nu = (n - np.arange(n)) % n
     diag = 0.5 * xv[nu]  # the v = 0 and v = n/2 columns of xv hold no label

@@ -41,7 +41,8 @@ from .sekine import (
     CentralElement,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     _coeff_slot,
-    _split_coeffs,
+    density_blocks,
+    fourier_density,
     rho_plus,
     trivial_label,
     validate_state,
@@ -97,8 +98,8 @@ class WalkTable(NamedTuple):
     width: int
 
 
-def _block_trace_norms(beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Trace norms of the 2x2 blocks [[beta_w, -sigma_(w+h)], [-sigma_w, beta_(w+h)]], w < h = n/2.
+def _block_trace_norms(blocks: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of 2x2 blocks (``sekine.density_blocks``).
 
     A 2x2 matrix A with singular values s1, s2 has s1 s2 = |det A| and
     s1^2 + s2^2 = ||A||_F^2, so s1 + s2 = sqrt(||A||_F^2 + 2 |det A|).
@@ -107,39 +108,27 @@ def _block_trace_norms(beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     two is exact, the squares neither underflow in the tail nor
     overflow, and no reciprocal of a subnormal is taken.
 
-    ``beta`` and ``sigma`` hold one row per k, and so does the result.
+    ``blocks`` holds one row per k, and so does the result.
     """
-    count, h = len(beta), beta.shape[1] // 2
-    # [k, half, w, beta or sigma]: the entries a, d = beta_w, beta_(w+h) and c, b = sigma_w, sigma_(w+h)
-    blocks = np.stack([beta, sigma], axis=-1).reshape(count, 2, h, 2)
-    parts = blocks.view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=(1, 3)))
-    scaled = np.ldexp(parts, -e[:, None, :, None])
+    # the columns, each read from its diagonal entry: the order in which the squares are summed
+    # and the products taken, kept from the earlier beta/sigma layout so that no pinned distance moves
+    parts = np.stack((blocks[..., :, 0], blocks[..., ::-1, 1]), axis=-2).view(np.float64)  # [[b00, b10], [b11, b01]]
+    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    scaled = np.ldexp(parts, -e[..., None, None])
     prod = scaled.view(np.complex128)
-    prod = prod[:, 0] * prod[:, 1]  # columns a d and c b
-    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=(1, 3)) + 2.0 * np.abs(prod[..., 0] - prod[..., 1])), e)
+    prod = prod[..., 0, :] * prod[..., 1, :]  # b00 b11 and b10 b01
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1).sum(axis=-1) + 2.0 * np.abs(prod[..., 0] - prod[..., 1])), e)
 
 
 def _kpn_table(a: CentralElement) -> WalkTable:
     """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
 
-    The density has an abelian part and a matrix block (see
-    ``sekine.central_to_element``).  The abelian part is the 2-D DFT of
-    the (l, w) grid S with S[:, 0] = rp + rm, S[:, n/2] = sp + sm (even
-    n) and S[:, +-v] = xv[:, v] for the genuine X(., v); ``np.fft`` lists
-    its n^2 values reflected in (i, j), which leaves their abs-sum alone.
-    The matrix block is C(b) + D C(s): the circulant of the rho bands
-    b = rp - rm plus, for even n, D = diag((-1)^m) over the 1-based rows
-    m times the circulant of the sigma bands s = sp - sm.  In the Fourier basis C(b)
-    is diagonal with the values beta = DFT(b), and D swaps the
-    frequencies w and w + n/2, so the block splits into the 2x2 blocks
-    of ``_block_trace_norms``, or, with no sigma label, has the singular
-    values |beta_w|.  The DFT over l of b and s rides along with that of
-    the columns of S.  Every k of a chunk goes through the same FFTs.
-
-    When every label is rho+-, the abelian part does not depend on j:
-    the table folds the n equal values of each row i into one, with n
-    times the weight, and one step costs two length-n FFTs.
+    Each a^k - h is synthesised by ``sekine.fourier_density``; its matrix block has
+    the singular values |beta_w|, or with sigma labels the trace norms of the blocks
+    of ``sekine.density_blocks``.  Every k of a chunk goes through the same FFTs.
+    When every label is rho+-, the abelian part does not depend on j: the table folds
+    the n equal values of each row i into one, with n times the weight, and one step
+    costs two length-n FFTs.
     """
     n = a.n
     labels = sorted(label for label in a.coeffs if label != trivial_label())
@@ -164,27 +153,14 @@ def _kpn_table(a: CentralElement) -> WalkTable:
 
         return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
 
-    half = n // 2 + 1
-    size = 4 * n + n * half
-    mirror = n - np.arange(half, n)  # S[:, n - v] holds X(., v)
+    size = 4 * n + n * (n // 2 + 1)
     sigma = bool(kinds & {SIGMA_PLUS, SIGMA_MINUS})
 
     def synth(c):
         flat = np.zeros((len(c), size), dtype=np.complex128)
         flat[:, slots] = c
-        rp, rm, sp, sm, xv = _split_coeffs(n, flat)
-        rows = np.empty((len(c), half + 2, n), dtype=np.complex128)  # S[:, v] for v <= n/2, then b and s
-        rows[:, :half] = xv.transpose(0, 2, 1)  # its rows v = 0 and n/2 hold no label
-        rows[:, 0] = rp + rm
-        if n % 2 == 0:
-            rows[:, n // 2] = sp + sm
-        rows[:, half] = rp - rm
-        rows[:, half + 1] = sp - sm
-        # the DFT over l of the distinct rows; the mirrored rows S[:, n - v] copy theirs
-        over_l = np.fft.fft(rows)
-        beta = over_l[:, half]
-        block = _block_trace_norms(beta, over_l[:, half + 1]) if sigma else beta
-        return np.fft.fft(np.concatenate((over_l[:, :half], over_l[:, mirror]), axis=1), axis=1), block
+        abelian, beta, s = fourier_density(n, flat)
+        return abelian, _block_trace_norms(density_blocks(beta, s)) if sigma else beta
 
     shape = AlgebraShape.sekine(n)
     return table(synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n)

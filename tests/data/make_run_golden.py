@@ -1,9 +1,8 @@
-"""Re-pin the CSV strings of the ``run`` golden files from the current CLI.
+"""Re-pin the CSV strings and refusal reports of the ``run`` golden files from the current CLI.
 
     PYTHONPATH=src python3 tests/data/make_run_golden.py
 
-Every case of ``tests/data/run/*.json`` that expects a CSV (the cases
-with a ``stderr`` entry pin a refusal and are left alone) is run with
+Every case of ``tests/data/run/*.json`` that expects a CSV is run with
 ``qgwalk run <config> --out <file>``, and its ``csv`` string is replaced
 by what the CLI writes.  Nothing else in a file changes: the config, the
 name and the ``.meta.json`` string stay as they are, and a case whose
@@ -16,8 +15,16 @@ digits, not for new numbers.  The script prints each case it changed
 with its number of changed rows, the columns that moved, and, per
 column, the largest relative difference from the value it replaces.
 
+A case with a ``stderr`` entry pins a refusal: its exit code and the
+JSON failure report on stderr.  Its ``stderr`` is replaced only when
+the exit code, the empty stdout and outputs, and the ordered list of
+condition names are unchanged, so that only witnesses may move; the
+script prints each witness that moved, and reports any other change
+and does not rewrite the case.
+
 Re-pin only from a commit whose distances are checked against an
-independent oracle (the dense synthesis in ``tests/test_walks.py``).
+independent oracle (the dense synthesis in ``tests/test_walks.py``), and
+whose state check is checked against the dense one (``tests/test_sekine.py``).
 """
 
 from __future__ import annotations
@@ -84,14 +91,42 @@ def compare(old: str, new: str) -> tuple[int, dict[str, float], list[str]]:
     return changed, moved, faults
 
 
+def failures(stderr: str) -> list[list[str]] | None:
+    """The [condition, witness] pairs of a refusal's JSON report, or None when stderr holds no report."""
+    try:
+        return json.loads(stderr)["failures"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def repin_refusal(label: str, case: dict, tmp: Path) -> bool | None:
+    """Re-pin a refusal's stderr: whether it changed, or None when it may not be rewritten."""
+    code, out, err, text, meta = run(case["config"], tmp)
+    old, new = failures(case["stderr"]), failures(err)
+    same_names = old is not None and new is not None and [f[0] for f in old] == [f[0] for f in new]
+    if (code, out, text, meta) != (case["exit"], "", "", "") or not (same_names or err == case["stderr"]):
+        print(f"{label}: exit {code}, stderr {err!r}: not rewritten")
+        return None
+    for (name, before), (_, after) in zip(old or [], new or []):
+        if before != after:
+            print(f"{label}: {name} witness {before} -> {after}")
+    changed = err != case["stderr"]
+    case["stderr"] = err
+    return changed
+
+
 def main() -> int:
-    total_cases = total_rows = changed_cases = changed_rows = refused = 0
+    total_cases = total_rows = changed_cases = changed_rows = refused = refusals = changed_refusals = 0
     worst: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted(RUN_DIR.glob("*.json")):
             cases = json.loads(path.read_text())
             for case in cases:
                 if "stderr" in case:
+                    refusals += 1
+                    changed = repin_refusal(f"{path.name} {case['name']}", case, Path(tmp))
+                    refused += changed is None
+                    changed_refusals += bool(changed)
                     continue
                 total_cases += 1
                 code, out, err, text, meta = run(case["config"], Path(tmp))
@@ -115,6 +150,7 @@ def main() -> int:
                 case["csv"] = text
             path.write_text(dump(cases))
     print(f"changed {changed_cases} of {total_cases} cases and {changed_rows} of {total_rows} rows")
+    print(f"changed the stderr of {changed_refusals} of {refusals} refusals")
     for name, rel in sorted(worst.items()):
         print(f"largest relative {name} difference: {rel:.3e}")
     return 1 if refused else 0

@@ -61,6 +61,17 @@ PHI_P_6 = {
 }
 
 
+SIGMA_PAIR_6 = {
+    "group": "kpn",
+    "n": 6,
+    "k_max": 12,
+    "coefficients": [
+        ["rho+:0", [1, 0]], ["rho+:2", [1, 0]], ["rho+:4", [1, 0]],
+        ["sigma+:0", [1, 0]], ["sigma+:2", [1, 0]], ["sigma+:4", [1, 0]],
+    ],
+}
+
+
 GOLDEN_CLASSIFY = sorted((pathlib.Path(__file__).parent / "data" / "classify").glob("*.json"))
 GOLDEN_RUN = sorted((pathlib.Path(__file__).parent / "data" / "run").glob("*.json"))
 
@@ -348,6 +359,25 @@ class TestRun:
         assert open(p1 + ".meta.json", "rb").read() == open(p2 + ".meta.json", "rb").read()
 
 
+class TestDenseElementOffTheWalkPath:
+    """The state check, the limit and the run read the Fourier density: no dense element is built."""
+
+    @pytest.mark.parametrize("doc", [COSINE5, SIGMA_PAIR_6], ids=["odd", "even-sigma"])
+    def test_with_the_dense_synthesis_gone(self, doc, tmp_path, capsys, monkeypatch):
+        def dense(*args):
+            raise AssertionError("the dense element was built")
+
+        monkeypatch.setattr(sekine, "central_to_element", dense)
+        monkeypatch.setattr(sekine, "_element_arrays", dense)
+        cfg = parse_config(doc)
+        a = sekine.CentralElement(cfg.n, cfg.by_label)
+        assert walks.validate_state is sekine.validate_state
+        assert sekine.validate_state(a).is_state
+        assert walks.classify_limit(a).kind in ("haar", "idempotent")
+        code, _, err = run_cli(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "run.csv")], capsys)
+        assert (code, err) == (0, "")
+
+
 class TestClassify:
     def test_cosine_haar(self, tmp_path, capsys):
         code, out, _ = run_cli(["classify", write_config(tmp_path, COSINE5)], capsys)
@@ -357,15 +387,7 @@ class TestClassify:
         assert all(not e["equals_one"] for e in doc["evidence"])
 
     def test_even_sigma_pair_branch(self, tmp_path, capsys):
-        doc = {
-            "group": "kpn",
-            "n": 6,
-            "coefficients": [
-                ["rho+:0", [1, 0]], ["rho+:2", [1, 0]], ["rho+:4", [1, 0]],
-                ["sigma+:0", [1, 0]], ["sigma+:2", [1, 0]], ["sigma+:4", [1, 0]],
-            ],
-        }
-        code, out, _ = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        code, out, _ = run_cli(["classify", write_config(tmp_path, SIGMA_PAIR_6)], capsys)
         assert code == 0
         parsed = json.loads(out)
         assert parsed["outcome"] == "h_gamma_l_tau"

@@ -310,7 +310,7 @@ class TestEnumeration:
                 assert is_central_functional(x)
 
     def test_no_duplicates(self):
-        for n in (2, 4, 6):
+        for n in range(2, 13):
             specs = enumerate_central_idempotents(n)
             keys = set()
             for spec in specs:

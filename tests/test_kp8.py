@@ -78,7 +78,7 @@ class TestValidateState:
 
     def test_walk_functions_refuse_with_the_report(self):
         g = KPCoefficients(1, 0, 0, 0, 3)
-        for call in (kp_classify, lambda g: kp_bounds(g, 2)):
+        for call in (kp_classify, lambda g: kp_bounds(g, 2), lambda g: kp_qtv_to_haar(g, 3)):
             with pytest.raises(NotAStateError) as info:
                 call(g)
             assert info.value.report == kp_validate_state(g)

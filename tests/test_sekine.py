@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgwalk.algebra import AlgebraElement, AlgebraShape, haar_integral, unit
+from qgwalk.algebra import AlgebraElement, AlgebraShape, haar_integral, positivity_failures, unit
 from qgwalk.sekine import (
     CentralElement,
     InvalidLabelError,
@@ -150,6 +150,53 @@ class TestValidateState:
             report = validate_state(a)
             assert not report.is_state
             assert [(name, w[0]) for name, w in report.failures] == [("coefficient not finite", str(label))]
+
+
+def _dense_state_failures(a: CentralElement) -> list:
+    """The state check on the dense element: normalization, then positivity of central_to_element(a)."""
+    norm = a.coefficient(trivial_label())
+    failures = [("normalization", norm)] if abs(norm - 1.0) > 1e-9 else []
+    x = central_to_element(a)
+    return failures + positivity_failures(x.abelian.reshape(a.n, a.n), x.matrix, 1e-9)
+
+
+def _hermitian_central(n: int, rng) -> CentralElement:
+    """c + c* for a random central c: a self-adjoint density, almost never positive."""
+    c = central_to_element(random_central(n, rng))
+    return element_to_central(c + c.adjoint(), tol=1e-8)
+
+
+class TestFourierStateCheck:
+    """validate_state reads the Fourier density; the dense element is its oracle."""
+
+    def test_agrees_with_the_dense_check(self, rng):
+        draws = {
+            "complex": lambda n: random_central(n, rng),
+            "hermitian": lambda n: _hermitian_central(n, rng),
+            "state": lambda n: random_central_state(n, rng),
+        }
+        kinds = set()
+        for n in range(2, 14):
+            for kind, draw in draws.items():
+                for _ in range(20):
+                    a = draw(n)
+                    got, want = validate_state(a).failures, _dense_state_failures(a)
+                    assert [name for name, _ in got] == [name for name, _ in want], (n, kind)
+                    dense = central_to_element(a).abelian.reshape(n, n)
+                    for (name, witness), (_, expected) in zip(got, want):
+                        kinds.add(name)
+                        if name == "matrix not PSD":
+                            assert witness == pytest.approx(expected, rel=1e-12, abs=0.0)
+                        # an abelian witness is the worst value; ties may pick another index, which holds it
+                        elif name == "negative abelian coefficient":
+                            (i, j), value = witness
+                            assert abs(dense[i, j].real - value) <= 1e-12 * max(1.0, abs(value))
+                            assert value == pytest.approx(dense.real.min(), rel=1e-12)
+                        elif name == "abelian coefficient not real":
+                            (i, j), value = witness
+                            assert abs(dense[i, j] - value) <= 1e-12 * max(1.0, abs(value))
+                            assert abs(value.imag) == pytest.approx(np.abs(dense.imag).max(), rel=1e-12)
+        assert kinds >= {"abelian coefficient not real", "negative abelian coefficient", "matrix not hermitian", "matrix not PSD"}
 
 
 class TestNotAStateError:
