@@ -45,8 +45,7 @@ class ConfigError(ValueError):
 class WalkConfig:
     group: str  # "kp" | "kpn" | "kpn-dual"
     n: int | None
-    coefficients: list[tuple[str, complex]]
-    # the same coefficients keyed by their parsed labels: the slot name (kp),
+    # the coefficients keyed by their parsed labels: the slot name (kp),
     # an IrrepLabel (kpn), an (i, j) pair or "Xhat" (kpn-dual)
     by_label: dict
     k_max: int = 50
@@ -152,29 +151,23 @@ def parse_config(doc) -> WalkConfig:
     coeffs_doc = doc.get("coefficients")
     if not isinstance(coeffs_doc, list):
         raise ConfigError("$.coefficients: list of [label, value] pairs required")
-    coefficients: list[tuple[str, complex]] = []
     by_label: dict = {}
-    seen: set[str] = set()
     for pos, item in enumerate(coeffs_doc):
         path = f"$.coefficients[{pos}]"
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
             raise ConfigError(f"{path}: expected [label, value]")
         text, value = item
-        if text in seen:
-            raise ConfigError(f"{path}: duplicate label {text!r}")
-        seen.add(text)
         if group == "kp":
             if text not in KP_SLOTS:
                 raise ConfigError(f"{path}: unknown label {text!r}")
-            label, text_norm = text, text
+            label = text
         elif group == "kpn":
             label = _parse_sekine_label(text, n, path)
-            text_norm = str(label)
         else:
             label = _parse_dual_label(text, n, path)
-            text_norm = "Xhat" if label == "Xhat" else f"e:{label[0]},{label[1]}"
-        coefficients.append((text_norm, _parse_complex(value, n, path)))
-        by_label[label] = coefficients[-1][1]
+        if label in by_label:  # also a variant spelling, such as "rho+: 1" of "rho+:1"
+            raise ConfigError(f"{path}: duplicate label {text!r}")
+        by_label[label] = _parse_complex(value, n, path)
     k_max = doc.get("k_max", 50)
     if not _is_number(k_max, int) or k_max < 1:
         raise ConfigError("$.k_max: positive integer required")
@@ -187,7 +180,7 @@ def parse_config(doc) -> WalkConfig:
     extra = set(doc) - {"group", "n", "coefficients", "k_max", "tolerance", "output"}
     if extra:
         raise ConfigError(f"$: unknown keys {sorted(extra)}")
-    return WalkConfig(group, n, coefficients, by_label, k_max, tolerance, output, list(coeffs_doc))
+    return WalkConfig(group, n, by_label, k_max, tolerance, output, list(coeffs_doc))
 
 
 def serialize_config(cfg: WalkConfig) -> dict:

@@ -164,9 +164,6 @@ class CentralElement:
     def coefficient(self, label: IrrepLabel) -> complex:
         return complex(self.coeffs.get(label, 0.0))
 
-    def items(self):
-        return sorted(self.coeffs.items())
-
     def allclose(self, other: "CentralElement", tol: float = 1e-12) -> bool:
         if self.n != other.n:
             return False
@@ -174,11 +171,20 @@ class CentralElement:
         return all(abs(self.coefficient(a) - other.coefficient(a)) <= tol for a in labels)
 
 
-def _coeff_slot(n: int, label: IrrepLabel) -> int:
-    """Position of a label in the flat coefficient layout of ``_split_coeffs``."""
-    if label.kind == X:
-        return 4 * n + label.index * (n // 2 + 1) + label.sub
-    return _ONE_DIM_KINDS.index(label.kind) * n + label.index
+def _label_slots(n: int, labels) -> np.ndarray:
+    """Slots of ``labels`` in the flat layout of ``_split_coeffs``: kind * n + l for rho+, rho-, sigma+ and
+    sigma-, and 4n + u (n//2 + 1) + v for X(u, v)."""
+    offsets = {kind: i * n for i, kind in enumerate((*_ONE_DIM_KINDS, X))}
+    return np.array([offsets[l.kind] + l.index * (n // 2 + 1 if l.kind == X else 1) + l.sub for l in labels], dtype=int)
+
+
+def _slot_order(n: int, labels: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, slots, dims) of the non-trivial ``labels[perm]`` in sorted order: the X slots, from 4n on, then the
+    others, each in slot order, as "X" < "rho+" < "rho-" < "sigma+" < "sigma-", so no label is compared."""
+    slots = _label_slots(n, labels)
+    perm = np.lexsort((slots, slots < 4 * n))
+    perm = perm[slots[perm] != 0]  # slot 0 is the trivial label
+    return perm, slots[perm], np.where(slots[perm] >= 4 * n, 2.0, 1.0)  # X labels have dimension 2
 
 
 def _split_coeffs(n: int, flat: np.ndarray):
@@ -192,13 +198,16 @@ def _split_coeffs(n: int, flat: np.ndarray):
     return (*np.moveaxis(bands, -2, 0), flat[..., 4 * n :].reshape(*lead, n, n // 2 + 1))
 
 
-def _coeff_vector(a: CentralElement) -> np.ndarray:
-    """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent)."""
-    n = a.n
-    flat = np.zeros(4 * n + n * (n // 2 + 1), dtype=np.complex128)
-    for label, c in a.coeffs.items():
-        flat[_coeff_slot(n, label)] = c
+def _place(n: int, slots, values: np.ndarray) -> np.ndarray:
+    """``values`` at ``slots`` of the flat layout of ``_split_coeffs``, zeros elsewhere: one flat vector per row."""
+    flat = np.zeros((*values.shape[:-1], 4 * n + n * (n // 2 + 1)), dtype=np.complex128)
+    flat[..., slots] = values
     return flat
+
+
+def _coeff_vector(a: CentralElement) -> np.ndarray:
+    """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent), placed by ``_label_slots``."""
+    return _place(a.n, _label_slots(a.n, a.coeffs), np.fromiter(a.coeffs.values(), np.complex128, len(a.coeffs)))
 
 
 def fourier_density(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -477,5 +486,5 @@ def profile_to_central(p: FourierProfile) -> CentralElement:
     vs = np.array(genuine_x_range(n), dtype=int)
     genuine = p.blocks[nu][:, vs]
     xv[:, vs] = genuine[..., 0, 0] + genuine[..., 1, 1]
-    slots = [(label, flat[_coeff_slot(n, label)]) for label in irrep_labels(n)]
-    return CentralElement(n, {label: complex(c) for label, c in slots if abs(c) > COEFF_CUTOFF})
+    labels = irrep_labels(n)
+    return CentralElement(n, {l: c for l, c in zip(labels, flat[_label_slots(n, labels)].tolist()) if abs(c) > COEFF_CUTOFF})

@@ -34,13 +34,10 @@ from .idempotents import (
     spec_from_labels,
 )
 from .sekine import (
-    RHO_MINUS,
-    RHO_PLUS,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     CentralElement,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
-    _coeff_slot,
+    _place,
+    _slot_order,
     density_blocks,
     fourier_density,
     rho_plus,
@@ -69,9 +66,9 @@ CHUNK_VALUES = 2**13
 class WalkTable(NamedTuple):
     """What the walk engine needs to know about one group and one state.
 
-    ``ratios`` are the non-trivial r_alpha = a_alpha / d_alpha, named by
-    ``keys``, with dimensions ``dims``; ``lower`` is the slice of the ratios
-    that enter the lower bound.  Phases that are ``order``-th roots of unity
+    ``ratios`` are the non-trivial r_alpha = a_alpha / d_alpha, named by ``keys`` in
+    the order the evidence prints, with dimensions ``dims``; ``lower`` is the slice of
+    the ratios that enter the lower bound.  Phases that are ``order``-th roots of unity
     are powered exactly.  ``synth`` maps the powered coefficients
     a_alpha^k / d_alpha^(k-1), a (K, m) array with one row per k, to the
     density of each a^k - h in the Fourier picture: a tuple of arrays
@@ -123,6 +120,8 @@ def _block_trace_norms(blocks: np.ndarray) -> np.ndarray:
 def _kpn_table(a: CentralElement) -> WalkTable:
     """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
 
+    The keys are the non-trivial labels in sorted order, which ``sekine._slot_order``
+    reads off their slots in the flat layout: no label is compared.
     Each a^k - h is synthesised by ``sekine.fourier_density``; its matrix block has
     the singular values |beta_w|, or with sigma labels the trace norms of the blocks
     of ``sekine.density_blocks``.  Every k of a chunk goes through the same FFTs.
@@ -131,18 +130,18 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     costs two length-n FFTs.
     """
     n = a.n
-    labels = sorted(label for label in a.coeffs if label != trivial_label())
-    slots = np.array([_coeff_slot(n, label) for label in labels], dtype=int)
-    dims = np.array([float(label.dim) for label in labels])
-    ratios = np.array([a.coefficient(label) for label in labels], dtype=np.complex128) / dims
+    labels = list(a.coeffs)
+    perm, slots, dims = _slot_order(n, labels)
+    keys = list(map(labels.__getitem__, perm.tolist()))
+    ratios = np.fromiter(a.coeffs.values(), np.complex128, len(labels))[perm] / dims
     # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
     order = math.lcm(2, n)
 
     def table(synth, weights, width):
-        return WalkTable(labels, ratios, dims, order, slice(None), synth, weights, width)
+        return WalkTable(keys, ratios, dims, order, slice(None), synth, weights, width)
 
-    kinds = {label.kind for label in labels}
-    if kinds <= {RHO_PLUS, RHO_MINUS}:
+    kinds = {label.kind for label in keys}
+    if all(kind.startswith("rho") for kind in kinds):
 
         def rho_synth(c):
             flat = np.zeros((len(c), 2 * n), dtype=np.complex128)
@@ -153,13 +152,10 @@ def _kpn_table(a: CentralElement) -> WalkTable:
 
         return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
 
-    size = 4 * n + n * (n // 2 + 1)
-    sigma = bool(kinds & {SIGMA_PLUS, SIGMA_MINUS})
+    sigma = any(kind.startswith("sigma") for kind in kinds)
 
     def synth(c):
-        flat = np.zeros((len(c), size), dtype=np.complex128)
-        flat[:, slots] = c
-        abelian, beta, s = fourier_density(n, flat)
+        abelian, beta, s = fourier_density(n, _place(n, slots, c))
         return abelian, _block_trace_norms(density_blocks(beta, s)) if sigma else beta
 
     shape = AlgebraShape.sekine(n)

@@ -21,7 +21,8 @@ from qgwalk.cli import (
     serialize_config,
     tolerance_of,
 )
-from qgwalk.idempotents import ENUMERATION_CAP
+from qgwalk.idempotents import ENUMERATION_CAP, build_idempotent, enumerate_central_idempotents
+from conftest import random_central_state
 
 
 def run_cli(args, capsys):
@@ -107,8 +108,7 @@ class TestParseConfig:
 
     def test_eta_pow_exact(self):
         cfg = parse_config(json.dumps(PHI_P_6))
-        values = dict(cfg.coefficients)
-        assert values["rho+:2"] == pytest.approx(np.exp(2j * np.pi * 2 / 6), abs=1e-15)
+        assert cfg.by_label[sekine.rho_plus(2)] == pytest.approx(np.exp(2j * np.pi * 2 / 6), abs=1e-15)
 
     def test_unknown_label(self):
         doc = {"group": "kpn", "n": 5, "coefficients": [["tau:1", [1, 0]]]}
@@ -128,12 +128,36 @@ class TestParseConfig:
     def test_kp_labels(self):
         doc = {"group": "kp", "coefficients": [["g1", [1, 0]], ["gX", [2, 0]]]}
         cfg = parse_config(json.dumps(doc))
-        assert dict(cfg.coefficients)["gX"] == 2.0
+        assert cfg.by_label["gX"] == 2.0
 
     def test_dual_labels(self):
         doc = {"group": "kpn-dual", "n": 4, "coefficients": [["e:0,0", [1, 0]], ["Xhat", [4, 0]]]}
         cfg = parse_config(json.dumps(doc))
-        assert dict(cfg.coefficients)["Xhat"] == 4.0
+        assert cfg.by_label["Xhat"] == 4.0
+
+    @pytest.mark.parametrize(
+        "group, n, first, again",
+        [
+            ("kpn", 3, "rho+:1", "rho+:1"),
+            ("kpn", 3, "rho+:1", "rho+: 1"),
+            ("kpn", 4, "X:1,1", "X:01,1"),
+            ("kpn-dual", 3, "e:1,0", "e:1,0"),
+            ("kpn-dual", 3, "e:1,0", "e:01,0"),
+            ("kpn-dual", 3, "Xhat", "Xhat"),
+            ("kp", None, "g2", "g2"),
+        ],
+    )
+    def test_duplicate_label_exits_2(self, group, n, first, again, tmp_path, capsys):
+        # a second spelling of a label must not silently replace the first value
+        unit = {"kpn": "rho+:0", "kpn-dual": "e:0,0", "kp": "g1"}[group]
+        doc = {"group": group, "coefficients": [[unit, [1, 0]], [first, [0.5, 0]], [again, [0.2, 0]]]}
+        if n is not None:
+            doc["n"] = n
+        with pytest.raises(ConfigError, match=re.escape(f"$.coefficients[2]: duplicate label {again!r}")):
+            parse_config(doc)
+        for command in ("run", "classify"):
+            code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+            assert (code, out) == (2, "") and "duplicate label" in err
 
     def test_tolerance_env_override(self, monkeypatch):
         cfg = parse_config(json.dumps(COSINE5))
@@ -376,6 +400,40 @@ class TestDenseElementOffTheWalkPath:
         assert walks.classify_limit(a).kind in ("haar", "idempotent")
         code, _, err = run_cli(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "run.csv")], capsys)
         assert (code, err) == (0, "")
+
+
+def _lazy_idempotent(n):
+    """(e + counit)/2 for a central idempotent e of KP_n: every label present, some of them at ratio 1."""
+    specs = enumerate_central_idempotents(n)
+    e = sekine.element_to_central(build_idempotent(specs[len(specs) // 2], n))
+    return sekine.CentralElement(n, {l: (e.coefficient(l) + l.dim) / 2 for l in sekine.irrep_labels(n)})
+
+
+class TestNoLabelIsCompared:
+    """KP_n labels are placed and ordered by their slot: no step of a walk compares two labels."""
+
+    @pytest.mark.parametrize("n", [5, 6], ids=["odd-X", "even-sigma-X"])
+    def test_with_label_comparison_gone(self, n, tmp_path, capsys, monkeypatch):
+        def compare(self, other):
+            raise AssertionError("two labels were compared")
+
+        states = [random_central_state(n, np.random.default_rng(n)), _lazy_idempotent(n)]
+        runs = []
+        for a in states:
+            coefficients = [[str(l), [c.real, c.imag]] for l, c in a.coeffs.items()]
+            doc = {"group": "kpn", "n": n, "k_max": 8, "coefficients": coefficients}
+            path = write_config(tmp_path, doc, f"cfg-{len(runs)}.json")
+            keys = sorted(l for l in a.coeffs if l != sekine.trivial_label())
+            runs.append((a, keys, path, [run_cli([command, path], capsys) for command in ("run", "classify")]))
+        assert {walks.classify_limit(a).kind for a in states} == {"haar", "idempotent"}
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(sekine.IrrepLabel, name, compare)
+        for a, keys, path, outputs in runs:
+            assert walks._kpn_table(a).keys == keys
+            assert sekine.validate_state(a).is_state
+            assert walks.classify_limit(a).table.keys == keys
+            assert [run_cli([command, path], capsys) for command in ("run", "classify")] == outputs
+            assert all(code == 0 for code, _, _ in outputs)
 
 
 class TestClassify:

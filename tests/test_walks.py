@@ -29,6 +29,7 @@ from qgwalk.sekine import (
     element_to_central,
     fourier_profile,
     genuine_x_range,
+    irrep_labels,
     profile_to_central,
     rho_minus,
     rho_plus,
@@ -473,6 +474,40 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
+
+
+def _random_label_subset(n, rng):
+    """A random subset of the labels of KP_n with random coefficients, a fifth of them 0, in random order."""
+    labels = [l for l in irrep_labels(n) if l != trivial_label() and rng.random() < 0.6]
+    if rng.random() < 0.8:  # the trivial label is left out of the table, whether present or not
+        labels.append(trivial_label())
+    values = rng.standard_normal((len(labels), 2)) @ [1.0, 1j]
+    values[rng.random(len(labels)) < 0.2] = 0.0
+    order = rng.permutation(len(labels))
+    return CentralElement(n, {labels[i]: complex(values[i]) for i in order})
+
+
+class TestKpnTableOrder:
+    """The KP_n table orders its labels by slot, which must be their sorted order."""
+
+    def test_keys_are_the_sorted_labels(self):
+        drawn = set()
+        for n in range(2, 14):
+            rng = np.random.default_rng(1000 + n)
+            for _ in range(12):
+                a = _random_label_subset(n, rng)
+                table = walks._kpn_table(a)
+                labels = sorted(l for l in a.coeffs if l != trivial_label())
+                assert table.keys == labels
+                # the per-label reference, with the same numpy division
+                dims = np.array([float(l.dim) for l in labels])
+                ratios = np.array([a.coefficient(l) for l in labels], dtype=np.complex128) / dims
+                assert _bits(table.dims) == _bits(dims) and _bits(table.ratios) == _bits(ratios)
+                drawn |= {(n % 2, l.kind, a.coeffs[l] == 0) for l in labels}
+                drawn.add((n % 2, "trivial", trivial_label() in a.coeffs))
+        # both parities, every kind, zero and non-zero coefficients, with and without the trivial label
+        kinds = {0: ("X", "rho+", "rho-", "sigma+", "sigma-", "trivial"), 1: ("X", "rho+", "rho-", "trivial")}
+        assert drawn == {(p, kind, zero) for p, ks in kinds.items() for kind in ks for zero in (False, True)}
 
 
 class TestBounds:
