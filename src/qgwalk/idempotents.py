@@ -34,12 +34,14 @@ from .sekine import (
     SIGMA_PLUS,
     FourierProfile,
     IrrepLabel,
+    _one_dim_values,
     fourier_profile,
     genuine_x_range,
     trivial_label,
 )
 
-# The largest n that ``enumerate_central_idempotents`` accepts.
+# The largest n that ``enumerate_central_idempotents`` accepts: the enumeration
+# is in closed form, and the tests check it against the dense filter up to here.
 ENUMERATION_CAP = 24
 
 
@@ -289,8 +291,9 @@ def idempotent_profile(spec: IdempotentSpec, n: int) -> FourierProfile:
     return FourierProfile(n, blocks)
 
 
-def _profile_pieces(x: AlgebraElement, group: str):
-    """Matrices of the Fourier profile of x over genuine irreducibles.
+def _profile_pieces(x: AlgebraElement, group: str) -> tuple[np.ndarray, np.ndarray]:
+    """(values, blocks): the Fourier values of x on the one-dimensional
+    irreducibles and the (N, 2, 2) stack of its genuine 2x2 blocks.
 
     The 8-dimensional algebra underlies two distinct quantum groups, so
     the group must be named: "kpn" reads the shape as C(KP_n) with
@@ -302,17 +305,13 @@ def _profile_pieces(x: AlgebraElement, group: str):
         if x.shape != KP_SHAPE:
             raise ValueError("element does not live in C(KP)")
         prof = kp_fourier_profile(x)
-        mats = [np.array([[prof.values[k]]]) for k in sorted(prof.values)]
-        mats.append(prof.xblock)
-        return mats
+        return np.array(list(prof.values.values())), prof.xblock[None]
     if group == "kpn":
         m = x.shape.matrix_dim
         if x.shape != AlgebraShape.sekine(m):
             raise ValueError("element does not live in C(KP_n)")
         prof = fourier_profile(x)
-        mats = [np.array([[value]]) for value in prof.scalars.values()]
-        mats += [prof.blocks[u, v] for u in range(m) for v in genuine_x_range(m)]
-        return mats
+        return _one_dim_values(prof).ravel(), prof.blocks[:, genuine_x_range(m)].reshape(-1, 2, 2)
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -322,7 +321,8 @@ def is_idempotent_state(x: AlgebraElement, tol: float = DEFAULT_TOL, group: str 
         return False
     if not is_positive(x, tol):
         return False
-    return all(np.abs(m @ m - m).max() <= tol for m in _profile_pieces(x, group))
+    values, blocks = _profile_pieces(x, group)
+    return bool(max(np.abs(values * values - values).max(), np.abs(blocks @ blocks - blocks).max(initial=0.0)) <= tol)
 
 
 def is_central_functional(x: AlgebraElement, tol: float = DEFAULT_TOL, group: str = "kpn") -> bool:
@@ -336,33 +336,30 @@ def is_central_functional(x: AlgebraElement, tol: float = DEFAULT_TOL, group: st
     [[a, b], [b, a]] for every x and always commute, so they are not
     checked.
     """
-    for b in _profile_pieces(x, group):
-        if b.shape == (2, 2):
-            deviation = max(abs(b[0, 1]), abs(b[1, 0]), abs(b[0, 0] - b[1, 1]))
-            if deviation > tol * max(1.0, np.abs(b).max()):
-                return False
-    return True
+    _, b = _profile_pieces(x, group)
+    deviation = np.maximum.reduce([np.abs(b[:, 0, 1]), np.abs(b[:, 1, 0]), np.abs(b[:, 0, 0] - b[:, 1, 1])])
+    return bool(np.all(deviation <= tol * np.maximum(1.0, np.abs(b).max(axis=(1, 2)))))
 
 
 def enumerate_central_idempotents(n: int) -> list[IdempotentSpec]:
-    """All idempotent-state parameters whose functional is central.
+    """All idempotent-state parameters whose functional is central, in closed form.
 
-    Enumerates every candidate of the four families and filters by the
-    exact centrality test; no two candidates build the same element.
+    Read off ``idempotent_profile``: h_(q,l) and h_(p,q,l,tau) have a
+    non-scalar block at u = 0 and v = n/q, a genuine X(0, v) exactly
+    when q > 2.  h_Gamma has a zero matrix part, and its block (u, v) is
+    diag(D(u, v), D(u, -v)), D = |Gamma| 1_(Gamma^perp) the DFT of
+    1_Gamma: scalar exactly when Gamma is closed under (a, b) -> (a, -b).
+    The tests hold the dense filter over every candidate as the oracle.
     """
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    candidates: list[IdempotentSpec] = [HaarSpec()]
-    candidates += [HGammaSpec(members) for members in subgroups_znxzn(n)]
-    for q in range(2, n + 1):
-        if n % q == 0:
-            candidates += [HGammaLSpec(q, l) for l in range(q)]
-    for q in range(1, n):
-        if n % q == 0 and n // q > 1:
-            p = n // q
-            for tau in valid_sign_vectors(p):
-                candidates += [HGammaLTauSpec(p, q, l, tau) for l in range(q)]
-    return [spec for spec in candidates if is_idempotent_state(x := build_idempotent(spec, n)) and is_central_functional(x)]
+    specs: list[IdempotentSpec] = [HaarSpec()]
+    specs += [HGammaSpec(m) for m in subgroups_znxzn(n) if {(a, -b % n) for a, b in m} == m]
+    specs += [HGammaLSpec(2, l) for l in range(2) if n % 2 == 0]
+    for q in (1, 2):
+        if n % q == 0 and n > q:
+            specs += [HGammaLTauSpec(n // q, q, l, tau) for tau in valid_sign_vectors(n // q) for l in range(q)]
+    return specs
 
 
 _PARTNER = {RHO_PLUS: RHO_MINUS, RHO_MINUS: RHO_PLUS, SIGMA_PLUS: SIGMA_MINUS, SIGMA_MINUS: SIGMA_PLUS}

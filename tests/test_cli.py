@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qgwalk
 from qgwalk import dual, kp8, sekine, walks
 from qgwalk.cli import (
     ConfigError,
@@ -558,7 +561,7 @@ class TestIdempotents:
         assert code == 2 and out == ""
         assert err == f"config error: --n: must be in 2..{ENUMERATION_CAP}, got {n}\n"
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, ENUMERATION_CAP + 1))
     def test_output_matches_golden_file(self, n, capsys):
         # tests/data/idempotents/n<N>.json pins the byte-exact output
         golden = pathlib.Path(__file__).parent / "data" / "idempotents" / f"n{n}.json"
@@ -843,3 +846,50 @@ class TestExitContract:
     @given(command=st.sampled_from(["run", "classify"]), doc=dual_configs())
     def test_dual_walk(self, command, doc):
         assert_exit_contract(command, doc)
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            ("run", "missing/run.csv"),
+            ("classify", "missing/limit.json"),
+            ("idempotents", "missing/list.json"),
+            ("cutoff", "a-file"),  # an existing file where the output directory should be
+        ],
+    )
+    def test_unwritable_output_exits_2(self, command, out, tmp_path, capsys):
+        (tmp_path / "a-file").write_text("")
+        args = {
+            "run": [write_config(tmp_path, COSINE5)],
+            "classify": [write_config(tmp_path, COSINE5)],
+            "idempotents": ["--n", "3"],
+            "cutoff": ["--n", "5", "--c", "0"],
+        }[command]
+        target = str(tmp_path / out)
+        code, stdout, err = run_cli([command, *args, "--out", target], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"config error: {target}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("classify", {"group": "kpn", "n": 10**6, "k_max": 3, "coefficients": [["rho+:0", [1, 0]]]}),
+            ("run", {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]]]}),
+        ],
+        ids=["kpn", "kpn-dual"],
+    )
+    def test_unallocatable_n_exits_3(self, command, doc, tmp_path):
+        # the n x n arrays (7.3 TiB for the state check, 14.6 TiB for the dual
+        # synthesis) are refused under a 1 GiB address-space limit on every
+        # host, so nothing large is ever touched
+        script = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from qgwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(pathlib.Path(qgwalk.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, write_config(tmp_path, doc)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1, proc.stderr

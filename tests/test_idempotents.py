@@ -323,6 +323,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_central_idempotents(25)
 
+    def test_closed_form_is_the_dense_filter(self):
+        # the oracle: every candidate built densely and kept when both dense checks pass
+        for n in range(2, ENUMERATION_CAP + 1):
+            dense = [s for s in all_specs(n) if is_idempotent_state(x := build_idempotent(s, n)) and is_central_functional(x)]
+            assert enumerate_central_idempotents(n) == dense, n
+
+    def test_builds_no_element(self, monkeypatch):
+        import qgwalk.idempotents as idem
+
+        for name in ("build_idempotent", "is_idempotent_state", "is_central_functional", "fourier_profile"):
+            monkeypatch.setattr(idem, name, None)
+        assert len(idem.enumerate_central_idempotents(ENUMERATION_CAP)) == 109
+
     def test_every_central_idempotent_is_its_own_limit(self):
         # closing the loop with the walk classifier: the walk driven by a
         # central idempotent e, and the lazy walk (e + counit)/2, whose
