@@ -41,6 +41,9 @@ IDEMPOTENT_VERDICT_TOL = 1e-10
 
 KP_SLOTS = ("g1", "g2", "g3", "g4", "gX")
 
+# The walk group of each value of the config key "group".
+WALK_GROUPS = {"kp": kp8.KP_WALK, "kpn": wk.KPN_WALK, "kpn-dual": du.DUAL_WALK}
+
 
 class ConfigError(ValueError):
     """Invalid configuration document; message carries the JSON path."""
@@ -57,6 +60,10 @@ class WalkConfig:
     tolerance: float | None = None
     output: str | None = None
     raw_values: list = field(default_factory=list)  # original value forms, for round-trips
+
+    @property
+    def walk(self) -> wk.WalkGroup:
+        return WALK_GROUPS[self.group]
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
@@ -230,54 +237,31 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)])
 
 
-def _pick(doc: dict, *keys: str) -> dict:
-    return {key: doc[key] for key in keys if key in doc}
-
-
-def _evidence_json(evidence: list[wk.LabelEvidence]) -> list[dict]:
-    return [
-        {"label": str(e.label), "ratio_modulus": e.ratio_modulus, "equals_one": e.equals_one}
-        for e in evidence
-    ]
-
-
 def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     """The classification JSON, the ``run`` meta and the engine table of a walk.
 
-    The one place that branches on the group.  The element is built once
-    from the labels ``parse_config`` parsed and checked, and the
-    classifier's state check is the only one: a non-state raises
-    NotAStateError.
+    The element is built once from the labels ``parse_config`` parsed and
+    checked, and the classifier's state check is the only one: a
+    non-state raises NotAStateError.  What the group prints is read off
+    its ``walks.WalkGroup``.
     """
-    if cfg.group == "kp":
-        g = kp8.KPCoefficients(**{**dict.fromkeys(KP_SLOTS, 0.0), **cfg.by_label})
-        c = kp8.kp_classify(g, tol)
-        doc = {"outcome": c.kind, "branch": f"kp:{c.kind}", "evidence": _evidence_json(c.evidence)}
-        if c.pal_index is not None:
-            doc["index"] = c.pal_index
+    group = cfg.walk
+    c = wk.classify_walk(group, group.element(cfg.n, cfg.by_label), tol)
+    doc = {"outcome": c.kind, "branch": c.branch}
+    if c.kind not in ("haar", "diverges"):
+        doc.update(group.describe(c.limit))
+    if not group.brief:
+        doc["evidence"] = [
+            {"label": group.label(e.label), "ratio_modulus": e.ratio_modulus, "equals_one": e.equals_one}
+            for e in c.evidence
+        ]
         if c.period is not None:
             doc["period"] = c.period
-        return doc, _pick(doc, "outcome", "index", "period"), c.table
-    if cfg.group == "kpn-dual":
-        a = du.DualCentralElement(cfg.n, cfg.by_label)
-        c = du.dual_classify(a, tol)
-        doc = {"outcome": c.kind, "branch": f"dual:{c.kind}"}
-        if c.epsilon is not None:
-            doc["epsilon"] = c.epsilon.describe()
-        return doc, _pick(doc, "outcome", "epsilon"), c.table
-    a = sk.CentralElement(cfg.n, cfg.by_label)
-    c = wk.classify_limit(a, tol)
-    doc = {"outcome": c.kind, "branch": c.branch, "evidence": _evidence_json(c.evidence)}
-    if c.kind == "idempotent":
-        spec = c.spec.describe()
-        doc.update(_pick(spec, "q", "l", "p"), outcome=spec["type"], spec=spec)
-    if c.period is not None:
-        doc["period"] = c.period
     if c.notes:
         doc["notes"] = c.notes
-    meta = _pick(doc, "outcome", "spec", "period", "branch")
-    if c.kind == "diverges":
-        meta["period"] = c.period  # kpn runs report a missing period as null
+    meta = {key: doc[key] for key in group.meta if key in doc}
+    if c.kind == "diverges" and group.null_period:
+        meta["period"] = c.period
     return doc, meta, c.table
 
 

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .sekine import StateReport
 from .sekine import fourier_profile  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
-from .walks import WalkTable, _PowerEngine, classify
+from .walks import LimitClassification, WalkGroup, WalkTable, _PowerEngine, classify_walk
 
 XHAT = "Xhat"
 
@@ -198,25 +198,29 @@ def is_pointwise_central_idempotent(x: AlgebraElement, tol: float = DEFAULT_TOL)
     return bool(np.abs(m - scalar * np.eye(x.shape.matrix_dim)).max() <= tol)
 
 
-@dataclass(frozen=True)
-class DualClassification:
-    kind: str  # "haar" | "idempotent" | "diverges"
-    epsilon: EpsilonVector | None = None
-    table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
+def _dual_limit(a: DualCentralElement, ones: frozenset) -> tuple[str, EpsilonVector | None, str]:
+    """Epsilon flags the ratios at 1."""
+    if not ones:
+        return "haar", None, "dual:haar"
+    return "idempotent", EpsilonVector(a.n, frozenset(ones - {XHAT} | {(0, 0)}), int(XHAT in ones)), "dual:idempotent"
 
 
-def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> DualClassification:
-    """Limit of the dual walk: epsilon flags the ratios at 1.
+DUAL_WALK = WalkGroup(
+    element=DualCentralElement,
+    check=lambda a, tol: dual_validate_state(a, tol),
+    table=lambda a: _dual_table(a),
+    limit=_dual_limit,
+    diverges="dual:diverges",
+    describe=lambda eps: {"epsilon": eps.describe()},
+    meta=("outcome", "epsilon"),
+    brief=True,
+)
+
+
+def dual_classify(a: DualCentralElement, tol: float = DEFAULT_TOL) -> LimitClassification:
+    """Limit of the dual walk: ``limit`` is the epsilon vector that flags the ratios at 1.
 
     A coefficient above its dimension puts its ratio outside the disc,
     and the walk diverges.
     """
-    dual_validate_state(a, tol).require()
-    table = _dual_table(a)
-    c = classify(table, tol, a.n)
-    if c.diverges:
-        return DualClassification("diverges", table=table)
-    if not c.ones:
-        return DualClassification("haar", table=table)
-    eps = EpsilonVector(a.n, frozenset(c.ones - {XHAT} | {(0, 0)}), int(XHAT in c.ones))
-    return DualClassification("idempotent", eps, table)
+    return classify_walk(DUAL_WALK, a, tol)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .algebra import (
 )
 from .algebra import l1_norm  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
 from .sekine import StateReport
-from .walks import AmbiguousBoundaryError, LabelEvidence, WalkTable, _PowerEngine, classify
+from .walks import AmbiguousBoundaryError, LimitClassification, WalkGroup, WalkTable, _PowerEngine, classify_walk
 
 KP_SHAPE = AlgebraShape.kac_paljutkin()
 
@@ -83,6 +84,7 @@ def x_matrix_coefficients() -> list[list[AlgebraElement]]:
 class KPCoefficients:
     """Coefficients of g = sum g_u rho(u) + gX chiX."""
 
+    n: ClassVar[int] = 2  # the Kac-Paljutkin group is KP_2
     g1: complex = 1.0
     g2: complex = 0.0
     g3: complex = 0.0
@@ -216,18 +218,6 @@ def pal_idempotents() -> list[AlgebraElement]:
     ]
 
 
-@dataclass(frozen=True)
-class KPClassification:
-    """Asymptotic behaviour of a Kac-Paljutkin random walk."""
-
-    kind: str  # "haar" | "pal" | "diverges"
-    pal_index: int | None = None  # 1-based index of the limit phi_i
-    period: int | None = None
-    immediate: bool = False  # limit already reached at k = 1
-    evidence: list[LabelEvidence] = field(default_factory=list)  # gX is reported as its ratio gX/2
-    table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
-
-
 # The limit phi_i of a convergent walk, named by the keys of the ratios at
 # 1; None is the Haar state.  The state inequalities leave no other set up
 # to the tolerance, and one that appears anyway is reported as ambiguous.
@@ -241,16 +231,26 @@ _KP_LIMITS = {
 }
 
 
-def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> KPClassification:
-    """Decide the limit of the walk driven by g among the phi_i."""
-    kp_validate_state(g, tol).require()
-    table = _kp_table(g)
-    c = classify(table, tol, 16)
-    evidence = [replace(e, label="gX/2") if e.label == "gX" else e for e in c.evidence]
-    if c.diverges:
-        return KPClassification("diverges", period=c.period, evidence=evidence, table=table)
-    if c.ones not in _KP_LIMITS:
-        raise AmbiguousBoundaryError(f"no idempotent state has the ratios {sorted(c.ones)} at 1")
-    index = _KP_LIMITS[c.ones]
+def _kp_limit(g: KPCoefficients, ones: frozenset) -> tuple[str, int | None, str]:
+    if ones not in _KP_LIMITS:
+        raise AmbiguousBoundaryError(f"no idempotent state has the ratios {sorted(ones)} at 1")
+    index = _KP_LIMITS[ones]
     kind = "haar" if index is None else "pal"
-    return KPClassification(kind, pal_index=index, immediate=index == 1, evidence=evidence, table=table)
+    return kind, index, f"kp:{kind}"
+
+
+KP_WALK = WalkGroup(
+    element=lambda n, coeffs: KPCoefficients(**{"g1": 0.0, **coeffs}),
+    check=lambda g, tol: kp_validate_state(g, tol),
+    table=lambda g: _kp_table(g),
+    limit=_kp_limit,
+    diverges="kp:diverges",
+    describe=lambda index: {"index": index},
+    meta=("outcome", "index", "period"),
+    label=lambda key: "gX/2" if key == "gX" else key,  # gX is reported as its ratio gX/2
+)
+
+
+def kp_classify(g: KPCoefficients, tol: float = DEFAULT_TOL) -> LimitClassification:
+    """Decide the limit of the walk driven by g among the phi_i (``limit`` is i; phi_1 is reached at k = 1)."""
+    return classify_walk(KP_WALK, g, tol)

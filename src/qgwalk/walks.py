@@ -36,6 +36,7 @@ from .idempotents import (
 from .sekine import (
     CentralElement,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
+    StateReport,
     _place,
     _slot_order,
     density_blocks,
@@ -405,15 +406,53 @@ def classify(table: WalkTable, tol: float, max_period: int) -> CircleReport:
 
 @dataclass(frozen=True)
 class LimitClassification:
-    """Asymptotic behaviour of the walk driven by a central state."""
+    """Asymptotic behaviour of the walk driven by a state, in any group."""
 
-    kind: str  # "haar" | "idempotent" | "diverges"
-    spec: IdempotentSpec | None = None
+    kind: str  # "haar" | "diverges" | "idempotent" (KP_n, dual) | "pal" (KP)
+    limit: object = None  # KP_n: the IdempotentSpec; KP: the i of phi_i; dual: the EpsilonVector
     period: int | None = None
     branch: str = ""
     evidence: list[LabelEvidence] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     table: WalkTable | None = field(default=None, compare=False, repr=False)  # the walk's engine table
+
+
+class WalkGroup(NamedTuple):
+    """A group's pieces of ``classify_walk`` and what the CLI prints of its walks.
+
+    The slots that call a module's functions look them up when called, so
+    a patched module attribute takes effect.  A ``classify`` document
+    holds the kind as outcome, the branch, the notes, the keys ``describe``
+    gives for a limit other than Haar and, unless ``brief``, the evidence
+    and the period.
+    """
+
+    element: Callable[[int | None, dict], object]  # the state, from n and the coefficients by label (absent: 0)
+    check: Callable[[object, float], StateReport]
+    table: Callable[[object], WalkTable]
+    limit: Callable[[object, frozenset], tuple[str, object, str]]  # (kind, limit, branch) from the keys at 1
+    diverges: str  # the branch of a diverging walk
+    describe: Callable[[object], dict]
+    meta: tuple[str, ...]  # the document keys the ``run`` meta holds
+    notes: Callable[[object], list[str]] = lambda a: []
+    label: Callable[[object], str] = str  # the name the evidence prints for a key
+    brief: bool = False
+    null_period: bool = False  # the meta holds a diverging walk's period even when none is found
+
+
+def classify_walk(group: WalkGroup, a, tol: float = DEFAULT_TOL, max_period: int | None = None) -> LimitClassification:
+    """Check the state once, build its table once, decide the circle and name the limit.
+
+    Periods are searched up to max(2n, 16) by default; KP counts as KP_2.
+    """
+    group.check(a, tol).require()
+    table = group.table(a)
+    c = classify(table, tol, max_period or max(2 * a.n, 16))
+    notes = group.notes(a)
+    if c.diverges:
+        return LimitClassification("diverges", None, c.period, group.diverges, c.evidence, notes, table)
+    kind, limit, branch = group.limit(a, c.ones)
+    return LimitClassification(kind, limit, None, branch, c.evidence, notes, table)
 
 
 def _branch_name(n: int, spec: IdempotentSpec) -> str:
@@ -429,6 +468,36 @@ def _branch_name(n: int, spec: IdempotentSpec) -> str:
     return "haar"
 
 
+def _kpn_limit(a: CentralElement, ones: frozenset) -> tuple[str, IdempotentSpec, str]:
+    # lim a^(*k) has coefficient d_alpha where the ratio is 1, else 0
+    spec = spec_from_labels(a.n, ones)
+    return "haar" if isinstance(spec, HaarSpec) else "idempotent", spec, _branch_name(a.n, spec)
+
+
+def _describe_spec(spec: IdempotentSpec) -> dict:
+    """The spec, its type as the outcome, and its q, l and p."""
+    d = spec.describe()
+    return {key: d[key] for key in ("q", "l", "p") if key in d} | {"outcome": d["type"], "spec": d}
+
+
+def _kpn_notes(a: CentralElement) -> list[str]:
+    sigma = a.n == 2 and any(label.kind.startswith("sigma") for label in a.coeffs)
+    return ["n=2: sigma indices are taken mod 2, so sigma_2 denotes sigma_0"] if sigma else []
+
+
+KPN_WALK = WalkGroup(
+    element=CentralElement,
+    check=lambda a, tol: validate_state(a, tol),
+    table=lambda a: _kpn_table(a),
+    limit=_kpn_limit,
+    diverges="boundary-divergence",
+    describe=_describe_spec,
+    meta=("outcome", "spec", "period", "branch"),
+    notes=_kpn_notes,
+    null_period=True,
+)
+
+
 def detect_cycle(
     a: CentralElement,
     max_period: int | None = None,
@@ -438,7 +507,7 @@ def detect_cycle(
 
     Computed exactly from the ratios on the unit circle (see
     ``classify``), with the tolerance and the default max_period of
-    ``classify_limit``; None when it exceeds max_period.
+    ``classify_walk``; None when it exceeds max_period.
     """
     validate_state(a, tol).require()
     return classify(_kpn_table(a), tol, max_period or max(2 * a.n, 16)).period
@@ -447,20 +516,8 @@ def detect_cycle(
 def classify_limit(
     a: CentralElement, tol: float = DEFAULT_TOL, max_period: int | None = None
 ) -> LimitClassification:
-    """Decide convergence and identify the limit state if one exists."""
-    validate_state(a, tol).require()
-    table = _kpn_table(a)
-    c = classify(table, tol, max_period or max(2 * a.n, 16))
-    notes: list[str] = []
-    if a.n == 2 and any(label.kind.startswith("sigma") for label in table.keys):
-        notes.append("n=2: sigma indices are taken mod 2, so sigma_2 denotes sigma_0")
-    found = {"evidence": c.evidence, "notes": notes, "table": table}
-    if c.diverges:
-        return LimitClassification("diverges", period=c.period, branch="boundary-divergence", **found)
-    # lim a^(*k) has coefficient d_alpha where the ratio is 1, else 0
-    spec = spec_from_labels(a.n, c.ones)
-    kind = "haar" if isinstance(spec, HaarSpec) else "idempotent"
-    return LimitClassification(kind, spec=spec, branch=_branch_name(a.n, spec), **found)
+    """Decide convergence of a KP_n walk and identify the limit state if one exists."""
+    return classify_walk(KPN_WALK, a, tol, max_period)
 
 
 def cutoff_state(n: int) -> CentralElement:
@@ -507,7 +564,6 @@ class WalkReport:
     n: int
     steps: list[WalkStep]
     classification: LimitClassification
-    cycle: int | None = None
 
 
 def walk_trace(
@@ -519,4 +575,4 @@ def walk_trace(
     """Record exact distance and both bounds for k = 1..k_max."""
     classification = classify_limit(a, tol, max_period=max_period)  # the state check
     steps = _PowerEngine(classification.table).steps(range(1, k_max + 1))
-    return WalkReport(a.n, steps, classification, classification.period)
+    return WalkReport(a.n, steps, classification)

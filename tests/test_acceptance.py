@@ -257,12 +257,12 @@ def test_criterion_4_classification_witnesses():
             c = classify_limit(a)
             assert c.kind == kind, (a.n, kind, c)
             if spec is not None:
-                assert c.spec == spec, (a.n, spec, c.spec)
+                assert c.limit == spec, (a.n, spec, c.limit)
             if kind == "idempotent":
                 ratios = [abs(v) / l.dim for l, v in a.coeffs.items()]
                 k = transient_horizon(ratios)
                 x = central_to_element(convolution_power(a, k))
-                assert l1_norm(x - build_idempotent(c.spec, a.n)) <= 1e-6
+                assert l1_norm(x - build_idempotent(c.limit, a.n)) <= 1e-6
 
     kp_cases = [
         ((1, 1, 1, 1, 2), "pal", 1),
@@ -277,12 +277,12 @@ def test_criterion_4_classification_witnesses():
         g = KPCoefficients(*tup)
         assert kp_validate_state(g).is_state
         c = kp_classify(g)
-        assert c.kind == kind and (index is None or c.pal_index == index), (tup, c)
+        assert c.kind == kind and (index is None or c.limit == index), (tup, c)
         if kind == "pal":
             ratios = [abs(g.g2), abs(g.g3), abs(g.g4), abs(g.gX) / 2]
             k = transient_horizon(ratios)
             x = kp_element(kp_convolution_power(g, k))
-            assert l1_norm(x - pal_idempotents()[c.pal_index - 1]) <= 1e-6
+            assert l1_norm(x - pal_idempotents()[c.limit - 1]) <= 1e-6
 
     # exact endpoints of the gX = +-2 branches
     assert kp_element(KPCoefficients(1, 1, 1, 1, 2)).allclose(pal_idempotents()[0])
@@ -399,7 +399,7 @@ def test_criterion_8_dual_proposition():
     for a in limit_cases:
         c = dual_classify(a)
         assert c.kind == "idempotent"
-        x = epsilon_to_element(c.epsilon)
+        x = epsilon_to_element(c.limit)
         # criterion 5's checks, transported to the dual structure where the
         # convolution is the pointwise product (see the decisions ledger):
         # blockwise idempotency of the dual Fourier data and centrality as
@@ -408,10 +408,10 @@ def test_criterion_8_dual_proposition():
         vals = dual_fourier_values(
             DualCentralElement(
                 n,
-                {**{k: 1.0 for k in c.epsilon.abelian},
-                 **({XHAT: float(n)} if c.epsilon.xhat else {})},
+                {**{k: 1.0 for k in c.limit.abelian},
+                 **({XHAT: float(n)} if c.limit.xhat else {})},
             )
         )
         assert all(abs(v * v - v) <= 1e-12 for v in vals.values())
-        assert np.allclose(x.matrix, c.epsilon.xhat * np.eye(n))
+        assert np.allclose(x.matrix, c.limit.xhat * np.eye(n))
     report("8 (dual proposition)", True)

@@ -184,9 +184,9 @@ class TestClassify:
         a = DualCentralElement(n, {(0, 0): 1.0, XHAT: float(n)})
         c = dual_classify(a)
         assert c.kind == "idempotent"
-        assert c.epsilon.xhat == 1
-        assert c.epsilon.abelian == frozenset({(0, 0)})
-        x = epsilon_to_element(c.epsilon)
+        assert c.limit.xhat == 1
+        assert c.limit.abelian == frozenset({(0, 0)})
+        x = epsilon_to_element(c.limit)
         ab = x.abelian.reshape(n, n)
         assert ab[0, 0] == 1.0 and np.allclose(x.matrix, np.eye(n))
 
@@ -201,14 +201,14 @@ class TestClassify:
                 c = dual_classify(a)
                 if c.kind != "idempotent":
                     continue
-                x = epsilon_to_element(c.epsilon)
+                x = epsilon_to_element(c.limit)
                 assert is_pointwise_central_idempotent(x, 1e-12)
                 # dual Fourier values of the limit are a projector family
                 vals = dual_fourier_values(
                     DualCentralElement(
                         n,
-                        {**{k: 1.0 for k in c.epsilon.abelian},
-                         **({XHAT: float(n)} if c.epsilon.xhat else {})},
+                        {**{k: 1.0 for k in c.limit.abelian},
+                         **({XHAT: float(n)} if c.limit.xhat else {})},
                     )
                 )
                 for v in vals.values():
@@ -221,8 +221,8 @@ class TestClassify:
             n, {(0, 0): 1.0, (1, 0): 1.0, (2, 1): 0.5, XHAT: float(n)}
         )
         c = dual_classify(a)
-        assert c.epsilon.abelian == frozenset({(0, 0), (1, 0)})
-        assert c.epsilon.xhat == 1
+        assert c.limit.abelian == frozenset({(0, 0), (1, 0)})
+        assert c.limit.xhat == 1
         big = dual_power(a, 64)
         assert big.coefficient((1, 0)) == pytest.approx(1.0)
         assert abs(big.coefficient((2, 1))) < 1e-18
@@ -234,7 +234,7 @@ class TestClassify:
 
         n = 3
         a = DualCentralElement(n, {(0, 0): 1.0, XHAT: float(n)})
-        x = epsilon_to_element(dual_classify(a).epsilon)
+        x = epsilon_to_element(dual_classify(a).limit)
         for _ in range(20):
             y = random_element(AlgebraShape.sekine(n), rng)
             assert (x * y).allclose(y * x, 1e-10)

@@ -348,7 +348,7 @@ class TestEnumeration:
                 for a in (e, lazy_walk(e)):
                     c = classify_limit(a)
                     assert c.kind == ("haar" if isinstance(spec, HaarSpec) else "idempotent")
-                    assert c.spec == spec, (n, spec, c.spec)
+                    assert c.limit == spec, (n, spec, c.limit)
 
 
 class TestSpecFromLabels:
@@ -389,4 +389,4 @@ class TestSpecFromLabels:
         assert len(gamma) == 13467
         e = element_to_central(build_idempotent(HGammaSpec(gamma), n))
         c = classify_limit(lazy_walk(e))
-        assert c.kind == "idempotent" and c.spec == HGammaSpec(gamma)
+        assert c.kind == "idempotent" and c.limit == HGammaSpec(gamma)

@@ -178,7 +178,7 @@ class TestClassification:
             c = kp_classify(g)
             assert c.kind == kind
             if index is not None:
-                assert c.pal_index == index
+                assert c.limit == index
 
     def test_haar_case(self):
         c = kp_classify(KPCoefficients(1, 0.5, 0.5, 0.5, 0))
@@ -187,7 +187,7 @@ class TestClassification:
     def test_phi1_exact_at_k1(self):
         g = KPCoefficients(1, 1, 1, 1, 2)
         c = kp_classify(g)
-        assert c.immediate
+        assert c.limit == 1
         assert kp_element(g).allclose(pal_idempotents()[0])
 
     def test_gx_minus_two_alternation(self):

@@ -283,8 +283,8 @@ class TestClassify:
         assert validate_state(a).is_state
         c = classify_limit(a)
         assert c.kind == "idempotent"
-        assert isinstance(c.spec, HGammaSpec)
-        assert c.spec.members == frozenset((0, j) for j in range(n))
+        assert isinstance(c.limit, HGammaSpec)
+        assert c.limit.members == frozenset((0, j) for j in range(n))
 
     def test_sigma_split_branch(self):
         # even n, sigma_0^+ = 1: limit h_(q=2, l)
@@ -295,13 +295,13 @@ class TestClassify:
             assert validate_state(a).is_state
             c = classify_limit(a)
             assert c.kind == "idempotent"
-            assert c.spec == HGammaLSpec(2, l)
+            assert c.limit == HGammaLSpec(2, l)
 
     def test_plus_only_branch(self):
         for n in (5, 6):
             c = classify_limit(plus_only_state(n))
             assert c.kind == "idempotent"
-            assert c.spec == HGammaLTauSpec(n, 1, 0, tuple([1] * n))
+            assert c.limit == HGammaLTauSpec(n, 1, 0, tuple([1] * n))
 
     def test_sigma_pair_branch(self):
         n = 6
@@ -312,7 +312,7 @@ class TestClassify:
         a = CentralElement(n, coeffs)
         assert validate_state(a).is_state
         c = classify_limit(a)
-        assert c.spec == HGammaLTauSpec(3, 2, 0, (1, 1, 1))
+        assert c.limit == HGammaLTauSpec(3, 2, 0, (1, 1, 1))
 
     def test_phi_p_diverges(self):
         c = classify_limit(phi_p(6, 2))
@@ -697,7 +697,7 @@ class TestWalkTrace:
     def test_divergent_walk_reports_cycle(self):
         report = walk_trace(phi_p(6, 2), 12)
         assert report.classification.kind == "diverges"
-        assert report.cycle == 3
+        assert report.classification.period == 3
 
     def test_table_is_built_once(self, monkeypatch):
         calls = []
@@ -730,7 +730,7 @@ class TestConvergenceRates:
             )
             k = 1 if transient == 0.0 else math.ceil(math.log(1e-8) / math.log(transient))
             x = central_to_element(convolution_power(a, k))
-            limit = build_idempotent(c.spec, a.n)
+            limit = build_idempotent(c.limit, a.n)
             assert l1_norm(x - limit) <= 1e-6
 
     def test_haar_convergence_rate(self, rng):
@@ -848,3 +848,27 @@ class TestWalkInvariants:
     def test_dual(self, a):
         dual.dual_validate_state(a).require()
         assert_walk_invariants(dual._dual_table(a))
+
+
+class TestClassifierAgreesWithEngine:
+    """Through ``classify_walk``, at tol = 1e-9: qtv(10^11) == 0.0 exactly when the walk is classified haar.
+
+    A haar walk has every ratio more than 10 tol inside the circle, and
+    |r|^(10^11) <= e^-1000 is 0.0 in double precision; any other walk has
+    a ratio on the circle, which keeps |r|^(10^11) >= e^-100 > 0.
+    """
+
+    @pytest.mark.parametrize(
+        "group, states",
+        [(walks.KPN_WALK, kpn_states()), (kp8.KP_WALK, kp_states()), (dual.DUAL_WALK, dual_states())],
+        ids=["kpn", "kp", "dual"],
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_haar_exactly_when_the_distance_vanishes(self, group, states, data):
+        a = data.draw(states)
+        try:
+            c = walks.classify_walk(group, a)
+        except AmbiguousBoundaryError:
+            return
+        assert (_PowerEngine(c.table).qtv(10**11) == 0.0) == (c.kind == "haar"), c
