@@ -41,6 +41,11 @@ IDEMPOTENT_VERDICT_TOL = 1e-10
 
 KP_SLOTS = ("g1", "g2", "g3", "g4", "gX")
 
+# At a tolerance of 1/AMBIGUITY_FACTOR or more, every ratio in the closed unit disc
+# lies within AMBIGUITY_FACTOR tol of the circle: it is on the circle or too close
+# to call (``walks.classify``), so no walk could converge.  Such a tolerance exits 2.
+MAX_TOL = 1.0 / wk.AMBIGUITY_FACTOR
+
 # The walk group of each value of the config key "group".
 WALK_GROUPS = {"kp": kp8.KP_WALK, "kpn": wk.KPN_WALK, "kpn-dual": du.DUAL_WALK}
 
@@ -80,6 +85,12 @@ def _finite(t, path: str) -> float:
     if not math.isfinite(f):
         raise ConfigError(f"{path}: not a finite number")
     return f
+
+
+def _below_max_tol(tol: float, path: str) -> float:
+    if tol >= MAX_TOL:
+        raise ConfigError(f"{path}: must be below {MAX_TOL!r}, or no ratio inside the unit disc is told from the circle")
+    return tol
 
 
 def _parse_complex(value, n: int | None, path: str) -> complex:
@@ -184,8 +195,10 @@ def parse_config(doc) -> WalkConfig:
     if not _is_number(k_max, int) or k_max < 1:
         raise ConfigError("$.k_max: positive integer required")
     tolerance = doc.get("tolerance")
-    if tolerance is not None and (not _is_number(tolerance) or _finite(tolerance, "$.tolerance") <= 0):
-        raise ConfigError("$.tolerance: positive number required")
+    if tolerance is not None:
+        if not _is_number(tolerance) or _finite(tolerance, "$.tolerance") <= 0:
+            raise ConfigError("$.tolerance: positive number required")
+        _below_max_tol(tolerance, "$.tolerance")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("$.output: string path required")
@@ -219,7 +232,7 @@ def tolerance_of(cfg: WalkConfig) -> float:
             raise ConfigError("QGWALK_TOL: not a finite number")
         if val <= 0:
             raise ConfigError("QGWALK_TOL: must be positive")
-        return val
+        return _below_max_tol(val, "QGWALK_TOL")
     return DEFAULT_TOL
 
 
@@ -306,6 +319,14 @@ def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
     return EXIT_OK
 
 
+def _cutoff_steps(n: int, c: float) -> list[int]:
+    """k = round(e^c n^2) and round(e^-c n^2), once each and at least 1; a k past the float range raises."""
+    try:
+        return [max(k, 1) for k in sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})]
+    except OverflowError:
+        raise OverflowError(f"n={n}, c={c!r}: k = round(e^|c| n^2) leaves the floating-point range") from None
+
+
 def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdout) -> int:
     keys, values = [], []
     for n in n_list:
@@ -314,13 +335,9 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
                 f"n={n}: the cosine walk needs odd n; for even n the coefficient at"
                 " l = n/2 equals -1 and the walk does not converge to the Haar state"
             )
-        grid = [
-            (c, max(k, 1))
-            for c in c_list
-            for k in sorted({int(round(math.exp(c) * n * n)), int(round(math.exp(-c) * n * n))})
-        ]
+        grid = [(c, k) for c in c_list for k in _cutoff_steps(n, c)]
         ks = sorted({k for _, k in grid})
-        qtv = dict(zip(ks, wk._PowerEngine(wk.cutoff_state(n)).qtv_many(ks)))  # a state by construction
+        qtv = dict(zip(ks, wk._PowerEngine(wk.cutoff_table(n)).qtv_many(ks)))  # a state by construction
         for c, k in grid:
             keys.append((n, float(c), k))
             values.append((qtv[k], *wk.cutoff_bounds(n, k)))
@@ -372,11 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
-    """Comma-separated values of one type; a bad token is a ConfigError."""
+    """Comma-separated values of one type; a bad token or no value at all is a ConfigError."""
     try:
-        return [kind(t) for t in text.split(",") if t]
+        values = [kind(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{flag}: at least one value required")
+    return values
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

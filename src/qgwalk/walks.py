@@ -122,27 +122,33 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
 
     The keys are the non-trivial labels in sorted order, which ``sekine._slot_order``
-    reads off their slots in the flat layout: no label is compared.
-    Each a^k - h is synthesised by ``sekine.fourier_density``; its matrix block has
-    the singular values |beta_w|, or with sigma labels the trace norms of the blocks
-    of ``sekine.density_blocks``.  Every k of a chunk goes through the same FFTs.
-    When every label is rho+-, the abelian part does not depend on j: the table folds
-    the n equal values of each row i into one, with n times the weight, and one step
-    costs two length-n FFTs.
+    reads off their slots in the flat layout: no label is compared.  The table
+    itself is built by ``_flat_table`` from the slots alone.
     """
-    n = a.n
     labels = list(a.coeffs)
-    perm, slots, dims = _slot_order(n, labels)
+    perm, slots, dims = _slot_order(a.n, labels)
     keys = list(map(labels.__getitem__, perm.tolist()))
     ratios = np.fromiter(a.coeffs.values(), np.complex128, len(labels))[perm] / dims
+    return _flat_table(a.n, keys, slots, ratios, dims)
+
+
+def _flat_table(n: int, keys: Sequence, slots: np.ndarray, ratios: np.ndarray, dims: np.ndarray) -> WalkTable:
+    """The KP_n walk table of the non-trivial ``ratios`` at ``slots`` of the flat layout (``sekine._place``).
+
+    Each a^k - h is synthesised by ``sekine.fourier_density``; its matrix block has
+    the singular values |beta_w|, or with sigma slots (2n..4n-1) the trace norms of
+    the blocks of ``sekine.density_blocks``.  Every k of a chunk goes through the
+    same FFTs.  When every slot is rho+- (below 2n), the abelian part does not
+    depend on j: the table folds the n equal values of each row i into one, with
+    n times the weight, and one step costs two length-n FFTs.
+    """
     # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
     order = math.lcm(2, n)
 
     def table(synth, weights, width):
         return WalkTable(keys, ratios, dims, order, slice(None), synth, weights, width)
 
-    kinds = {label.kind for label in keys}
-    if all(kind.startswith("rho") for kind in kinds):
+    if (slots < 2 * n).all():
 
         def rho_synth(c):
             flat = np.zeros((len(c), 2 * n), dtype=np.complex128)
@@ -153,7 +159,7 @@ def _kpn_table(a: CentralElement) -> WalkTable:
 
         return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
 
-    sigma = any(kind.startswith("sigma") for kind in kinds)
+    sigma = ((2 * n <= slots) & (slots < 4 * n)).any()
 
     def synth(c):
         abelian, beta, s = fourier_density(n, _place(n, slots, c))
@@ -520,6 +526,17 @@ def classify_limit(
     return classify_walk(KPN_WALK, a, tol, max_period)
 
 
+def _cosines(n: int) -> list[float]:
+    """cos(2 pi l / n) for l = 0..n-1, the coefficients of the cosine walk; odd n >= 3 only.
+
+    For even n the coefficient at l = n/2 would be -1 and the walk
+    would not converge to the Haar state, so even n is rejected.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("the cosine walk requires odd n >= 3")
+    return [math.cos(2.0 * math.pi * l / n) for l in range(n)]
+
+
 def cutoff_state(n: int) -> CentralElement:
     """The cosine-coefficient state a_{rho_l^+} = cos(2 pi l / n), odd n.
 
@@ -529,14 +546,20 @@ def cutoff_state(n: int) -> CentralElement:
     constant in j, real and nonnegative; the matrix block is the real
     symmetric circulant with entry cos(2 pi l / n) on band l, whose
     eigenvalues are (n/2)(delta_{w,1} + delta_{w,n-1}) >= 0.
-
-    For even n the coefficient at l = n/2 would be -1 and the walk
-    would not converge to the Haar state, so even n is rejected.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("the cosine walk requires odd n >= 3")
-    coeffs = {rho_plus(l): complex(math.cos(2.0 * math.pi * l / n)) for l in range(n)}
-    return CentralElement(n, coeffs)
+    return CentralElement(n, {rho_plus(l): complex(c) for l, c in enumerate(_cosines(n))})
+
+
+def cutoff_table(n: int) -> WalkTable:
+    """The engine table of ``cutoff_state(n)``, built from its coefficients alone.
+
+    The ratios are the cosines at the rho_l^+ slots l = 1..n-1, each of
+    dimension 1, and the keys are those l: no label and no element is
+    built.  The keys name no label, so the table is for powering only
+    (``cutoff``); ``classify`` needs the labels of ``_kpn_table``.
+    """
+    ratios = np.array(_cosines(n)[1:], dtype=np.complex128)
+    return _flat_table(n, range(1, n), np.arange(1, n), ratios, np.ones(n - 1))
 
 
 def cutoff_bounds(n: int, k: int) -> tuple[float, float, float]:

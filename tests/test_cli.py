@@ -78,6 +78,8 @@ SIGMA_PAIR_6 = {
 
 GOLDEN_CLASSIFY = sorted((pathlib.Path(__file__).parent / "data" / "classify").glob("*.json"))
 GOLDEN_RUN = sorted((pathlib.Path(__file__).parent / "data" / "run").glob("*.json"))
+CUTOFF_DIR = pathlib.Path(__file__).parent / "data" / "cutoff"
+GOLDEN_CUTOFF = sorted(CUTOFF_DIR.glob("*.json"))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -206,6 +208,29 @@ class TestParseConfig:
         doc = {"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [5, 0]]]}
         code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
         assert (code, out, err) == (2, "", "config error: QGWALK_TOL: not a finite number\n")
+
+    @pytest.mark.parametrize("tol", ["0.1", "0.5", "1", "1e300"])
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_tolerance_past_the_ambiguity_bound_exits_2(self, source, tol, tmp_path, capsys, monkeypatch):
+        # From 1/AMBIGUITY_FACTOR on, every ratio in the closed disc is on the circle or too
+        # close to call.  At 0.5 this walk, whose run decays as 0.7^k, classified as diverging.
+        doc = {"group": "kpn", "n": 6, "k_max": 40, "coefficients": [["rho+:0", [1, 0]], ["rho-:0", [-0.7, 0]]]}
+        monkeypatch.delenv("QGWALK_TOL", raising=False)
+        if source == "config":
+            doc["tolerance"], where = json.loads(tol), "$.tolerance"
+        else:
+            monkeypatch.setenv("QGWALK_TOL", tol)
+            where = "QGWALK_TOL"
+        for command in ("run", "classify"):
+            code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+            assert (code, out) == (2, ""), err
+            assert err.startswith(f"config error: {where}: must be below 0.1,") and err.count("\n") == 1
+
+    def test_tolerance_below_the_ambiguity_bound_is_kept(self, monkeypatch):
+        assert 1.0 / walks.AMBIGUITY_FACTOR == 0.1
+        monkeypatch.setenv("QGWALK_TOL", "0.0999")
+        assert tolerance_of(parse_config({**COSINE5, "tolerance": 0.09})) == 0.09
+        assert tolerance_of(parse_config(COSINE5)) == 0.0999
 
     def test_deeply_nested_document_is_a_config_error(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -633,6 +658,39 @@ class TestCutoff:
         code, out, err = run_cli(["cutoff", "--n", n, "--c", c], capsys)
         assert code == 2 and err.startswith("config error: --")
         assert out == ""
+
+    @pytest.mark.parametrize("path", GOLDEN_CUTOFF, ids=lambda p: p.stem)
+    def test_output_matches_golden_file(self, path, capsys):
+        # tests/data/cutoff/<name>.json: a cutoff command line and its byte-exact
+        # stdout, pinned by tests/data/make_cutoff_golden.py
+        case = json.loads(path.read_text())
+        assert run_cli(case["argv"], capsys) == (0, case["stdout"], "")
+
+    def test_builds_no_label_and_no_element(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("cutoff built a label, an element or a labelled table")
+
+        monkeypatch.setattr(walks, "cutoff_state", forbidden)
+        monkeypatch.setattr(walks, "_kpn_table", forbidden)
+        monkeypatch.setattr(sekine.CentralElement, "__post_init__", forbidden)
+        # the rows at c = 0 and c = 1 of the n = 5 and n = 51 golden grids, in order
+        expected = ["n,c,k,qtv,lower,upper_sharp,upper_theorem"]
+        for name in ("n5", "n51"):
+            rows = json.loads((CUTOFF_DIR / f"{name}.json").read_text())["stdout"].splitlines()[1:]
+            expected += [row for row in rows if row.split(",")[1] in ("0.0", "1.0")]
+        assert len(expected) == 7  # one k at c = 0, two at c = 1
+        assert run_cli(["cutoff", "--n", "5,51", "--c", "0,1"], capsys) == (0, "\n".join(expected) + "\n", "")
+
+    @pytest.mark.parametrize("n, c, flag", [(",", "0", "--n"), ("5", "", "--c"), ("", ",,", "--n")])
+    def test_empty_list_exits_2(self, n, c, flag, capsys):
+        assert run_cli(["cutoff", "--n", n, "--c", c], capsys) == (2, "", f"config error: {flag}: at least one value required\n")
+
+    @pytest.mark.parametrize("c", ["709", "800", "-708"])
+    def test_k_past_the_float_range_exits_3(self, c, capsys):
+        # e^708 3^2 is past the largest float, 1.8e308; e^707 3^2 is not
+        assert run_cli(["cutoff", "--n", "3", "--c", "707"], capsys)[0] == 0
+        message = f"numeric failure: n=3, c={float(c)!r}: k = round(e^|c| n^2) leaves the floating-point range\n"
+        assert run_cli(["cutoff", "--n", "3", "--c", c], capsys) == (3, "", message)
 
     def test_clamped_small_values(self, capsys):
         # deep past the threshold everything is numerically zero

@@ -671,6 +671,27 @@ class TestCutoff:
         lo, us, ut = cutoff_bounds(5, 10**6)
         assert lo < 1e-300 and us < 1e-300 and ut < 1e-300
 
+    @pytest.mark.parametrize("n", [*range(3, 62, 2), 101, 201])
+    def test_table_is_the_state_table(self, n):
+        # the label-free table of cutoff is the labelled table of the state, bit for bit
+        flat, labelled = walks.cutoff_table(n), walks._kpn_table(cutoff_state(n))
+        assert labelled.keys == [rho_plus(l) for l in flat.keys] and list(flat.keys) == list(range(1, n))
+        assert flat.ratios.tobytes() == labelled.ratios.tobytes()
+        assert flat.dims.tobytes() == labelled.dims.tobytes()
+        assert (flat.order, flat.lower, flat.weights, flat.width) == (
+            labelled.order, labelled.lower, labelled.weights, labelled.width
+        )
+        powered = _PowerEngine(labelled).powers([1, 2, 3, n * n, 10**12])
+        ours, theirs = flat.synth(powered), labelled.synth(powered)
+        assert len(ours) == len(theirs)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(ours, theirs))
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2, 4, 10])
+    def test_table_and_state_reject_the_same_n(self, n):
+        for build in (cutoff_state, walks.cutoff_table):
+            with pytest.raises(ValueError, match=r"^the cosine walk requires odd n >= 3$"):
+                build(n)
+
 
 class TestWalkTrace:
     def test_unit_trace_zero(self):
