@@ -43,7 +43,7 @@ KP_SLOTS = ("g1", "g2", "g3", "g4", "gX")
 
 # At a tolerance of 1/AMBIGUITY_FACTOR or more, every ratio in the closed unit disc
 # lies within AMBIGUITY_FACTOR tol of the circle: it is on the circle or too close
-# to call (``walks.classify``), so no walk could converge.  Such a tolerance exits 2.
+# to call (``walks.classify_walk``), so no walk could converge.  Such a tolerance exits 2.
 MAX_TOL = 1.0 / wk.AMBIGUITY_FACTOR
 
 # The walk group of each value of the config key "group".

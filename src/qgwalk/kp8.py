@@ -170,11 +170,6 @@ class KPProfile:
     values: dict[str, complex]  # one-dimensional representations rho1..rho4
     xblock: np.ndarray  # 2x2 matrix on the two-dimensional representation
 
-    def allclose(self, other: "KPProfile", tol: float = 1e-10) -> bool:
-        if any(abs(self.values[k] - other.values[k]) > tol for k in self.values):
-            return False
-        return bool(np.allclose(self.xblock, other.xblock, atol=tol, rtol=0.0))
-
 
 def kp_fourier_profile(x: AlgebraElement) -> KPProfile:
     """Fourier matrices of F(x), built from the explicit coefficients."""

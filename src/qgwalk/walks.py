@@ -376,41 +376,6 @@ class LabelEvidence:
 
 
 @dataclass(frozen=True)
-class CircleReport:
-    """The evidence, the keys whose ratio equals 1, whether the walk diverges
-    (a ratio on the circle away from 1, or outside the disc) and the period
-    of the ratios on the circle (None past max_period or outside the disc)."""
-
-    evidence: list[LabelEvidence]
-    ones: frozenset
-    diverges: bool
-    period: int | None
-
-
-def classify(table: WalkTable, tol: float, max_period: int) -> CircleReport:
-    """Decide once, under one tolerance, which ratios are on the circle and which equal 1.
-
-    A ratio r is on the circle when | |r| - 1 | <= tol and equals one
-    when also |r - 1| <= tol; off the circle by at most AMBIGUITY_FACTOR
-    tol it raises AmbiguousBoundaryError.  Every group names its limit
-    from the keys whose ratio equals one.
-    """
-    evidence, ratios = [], table.ratios.tolist()
-    for key, r in zip(table.keys, ratios):
-        mod = abs(r)  # Python's abs: np.abs can differ in the last place, and the evidence prints it
-        on_circle = abs(mod - 1.0) <= tol
-        if not on_circle and abs(mod - 1.0) <= AMBIGUITY_FACTOR * tol:
-            raise AmbiguousBoundaryError(f"{key}: ratio modulus {mod!r} is too close to the circle")
-        evidence.append(LabelEvidence(key, mod, on_circle and abs(r - 1.0) <= tol, on_circle))
-    ones = frozenset(e.label for e in evidence if e.equals_one)
-    if any(e.ratio_modulus > 1.0 and not e.on_circle for e in evidence):
-        return CircleReport(evidence, ones, True, None)
-    period = circle_period([r for r, e in zip(ratios, evidence) if e.on_circle], max_period, tol)
-    diverges = any(e.on_circle and not e.equals_one for e in evidence)
-    return CircleReport(evidence, ones, diverges, period)
-
-
-@dataclass(frozen=True)
 class LimitClassification:
     """Asymptotic behaviour of the walk driven by a state, in any group."""
 
@@ -447,18 +412,33 @@ class WalkGroup(NamedTuple):
 
 
 def classify_walk(group: WalkGroup, a, tol: float = DEFAULT_TOL, max_period: int | None = None) -> LimitClassification:
-    """Check the state once, build its table once, decide the circle and name the limit.
+    """Check the state once, build its table once, decide the circle once and name the limit.
 
-    Periods are searched up to max(2n, 16) by default; KP counts as KP_2.
+    A ratio r is on the circle when | |r| - 1 | <= tol and equals one
+    when also |r - 1| <= tol; off the circle by at most AMBIGUITY_FACTOR
+    tol it raises AmbiguousBoundaryError.  A walk with a ratio on the
+    circle away from 1 diverges, with the period of its ratios on the
+    circle searched up to max(2n, 16) by default (KP counts as KP_2); a
+    ratio outside the disc diverges with no period.  Any other walk
+    converges to the limit its group names from the keys whose ratio is 1.
     """
     group.check(a, tol).require()
     table = group.table(a)
-    c = classify(table, tol, max_period or max(2 * a.n, 16))
+    evidence, ratios = [], table.ratios.tolist()
+    for key, r in zip(table.keys, ratios):
+        mod = abs(r)  # Python's abs: np.abs can differ in the last place, and the evidence prints it
+        on_circle = abs(mod - 1.0) <= tol
+        if not on_circle and abs(mod - 1.0) <= AMBIGUITY_FACTOR * tol:
+            raise AmbiguousBoundaryError(f"{key}: ratio modulus {mod!r} is too close to the circle")
+        evidence.append(LabelEvidence(key, mod, on_circle and abs(r - 1.0) <= tol, on_circle))
     notes = group.notes(a)
-    if c.diverges:
-        return LimitClassification("diverges", None, c.period, group.diverges, c.evidence, notes, table)
-    kind, limit, branch = group.limit(a, c.ones)
-    return LimitClassification(kind, limit, None, branch, c.evidence, notes, table)
+    outside = any(e.ratio_modulus > 1.0 and not e.on_circle for e in evidence)
+    if outside or any(e.on_circle and not e.equals_one for e in evidence):
+        circle = [r for r, e in zip(ratios, evidence) if e.on_circle]
+        period = None if outside else circle_period(circle, max_period or max(2 * a.n, 16), tol)
+        return LimitClassification("diverges", None, period, group.diverges, evidence, notes, table)
+    kind, limit, branch = group.limit(a, frozenset(e.label for e in evidence if e.equals_one))
+    return LimitClassification(kind, limit, None, branch, evidence, notes, table)
 
 
 def _branch_name(n: int, spec: IdempotentSpec) -> str:
@@ -509,14 +489,13 @@ def detect_cycle(
     max_period: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> int | None:
-    """Smallest asymptotic period of the coefficient powers.
+    """Smallest asymptotic period of the coefficient powers: 1 for a walk that converges.
 
-    Computed exactly from the ratios on the unit circle (see
-    ``classify``), with the tolerance and the default max_period of
-    ``classify_walk``; None when it exceeds max_period.
+    A reading of ``classify_limit``, with its tolerance and default
+    max_period; None when the period exceeds max_period.
     """
-    validate_state(a, tol).require()
-    return classify(_kpn_table(a), tol, max_period or max(2 * a.n, 16)).period
+    c = classify_limit(a, tol, max_period)
+    return c.period if c.kind == "diverges" else 1
 
 
 def classify_limit(
@@ -556,7 +535,7 @@ def cutoff_table(n: int) -> WalkTable:
     The ratios are the cosines at the rho_l^+ slots l = 1..n-1, each of
     dimension 1, and the keys are those l: no label and no element is
     built.  The keys name no label, so the table is for powering only
-    (``cutoff``); ``classify`` needs the labels of ``_kpn_table``.
+    (``cutoff``); ``classify_walk`` needs the labels of ``_kpn_table``.
     """
     ratios = np.array(_cosines(n)[1:], dtype=np.complex128)
     return _flat_table(n, range(1, n), np.arange(1, n), ratios, np.ones(n - 1))

@@ -7,8 +7,9 @@ stdout, the ``n,c,k,qtv,lower,upper_sharp,upper_theorem`` CSV, is written
 to ``tests/data/cutoff/<name>.json`` with its argv.  A new file is written
 when every row keeps lower <= qtv <= upper_sharp up to a relative
 ``SLACK``.  An existing file is rewritten under the re-pin rule of
-``make_run_golden.py``: the exit code must be 0 with nothing on stderr,
-the header and the (n, c, k) of every row must stay, every row must keep
+``make_run_golden.py``, whose ``at_most`` and ``moves`` (and with them
+its ``SLACK``) this script imports: the exit code must be 0 with nothing on stderr, the
+header and the (n, c, k) of every row must stay, every row must keep
 the sandwich, and no value may move by more than a relative ``SLACK``
 from the value it replaces: a re-pin is for last digits, not for new
 numbers.  A case that breaks the rule is reported and not rewritten.
@@ -28,22 +29,15 @@ import json
 import sys
 from pathlib import Path
 
+from make_run_golden import at_most, moves
 from qgwalk import cli
 
 CUTOFF_DIR = Path(__file__).resolve().parent / "cutoff"
-
-# the relative slack of the sandwich, and the largest relative move a re-pin may make
-SLACK = 1e-12
 
 C_GRID = ",".join(f"{i / 10:.1f}" for i in range(-20, 21))  # -2.0, -1.9, ..., 2.0
 
 CASES = {f"n{n}": ["cutoff", "--n", str(n), "--c", C_GRID] for n in (3, 5, 15, 51, 101, 201)}
 CASES["readme"] = ["cutoff", "--n", "5,15,51", "--c", "-2,-1,0,1,2"]  # the README's example
-
-
-def at_most(x: float, y: float) -> bool:
-    """x <= y up to SLACK relative to the larger of the two, forgiving subnormal differences."""
-    return x <= y + SLACK * max(abs(x), abs(y)) + sys.float_info.min
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -67,17 +61,8 @@ def faults_of(old: str | None, new: str) -> tuple[int, dict[str, float], list[st
     old_rows = list(csv.reader(io.StringIO(old)))
     if old_rows[0] != new_rows[0] or [r[:3] for r in old_rows] != [r[:3] for r in new_rows]:
         return 0, {}, faults + ["the header or the (n, c, k) of the rows changed"]
-    changed, moved = 0, {}
-    for before, after in zip(old_rows[1:], new_rows[1:]):
-        changed += before != after
-        for name, x, y in zip(old_rows[0], before, after):
-            if x != y:
-                x, y = float(x), float(y)
-                rel = abs(x - y) / max(abs(x), abs(y))
-                moved[name] = max(moved.get(name, 0.0), rel)
-                if rel > SLACK:
-                    faults.append(f"n = {after[0]}, c = {after[1]}, k = {after[2]}: {name} moved by {rel:.2e} relative")
-    return changed, moved, faults
+    changed, moved, move_faults = moves(new_rows[0], old_rows[1:], new_rows[1:], 3)
+    return changed, moved, faults + move_faults
 
 
 def main() -> int:

@@ -69,26 +69,38 @@ def run(config: dict, tmp: Path) -> tuple[int, str, str, str, str]:
     return code, stdout.getvalue(), stderr.getvalue(), *texts
 
 
+def moves(header: list[str], old_rows: list, new_rows: list, keys: int) -> tuple[int, dict[str, float], list[str]]:
+    """Changed rows, the largest relative difference of each column that moved, and each move past SLACK.
+
+    A fault names its row by the first ``keys`` columns.
+    """
+    changed, moved, faults = 0, {}, []
+    for before, after in zip(old_rows, new_rows):
+        changed += before != after
+        for name, x, y in zip(header, before, after):
+            if x != y:
+                x, y = float(x), float(y)
+                rel = abs(x - y) / max(abs(x), abs(y))
+                moved[name] = max(moved.get(name, 0.0), rel)
+                if rel > SLACK:
+                    where = ", ".join(f"{key} = {value}" for key, value in zip(header[:keys], after))
+                    faults.append(f"{where}: {name} moved by {rel:.2e} relative")
+    return changed, moved, faults
+
+
 def compare(old: str, new: str) -> tuple[int, dict[str, float], list[str]]:
     """Changed rows, the largest relative difference of each column that moved, and what forbids the re-pin."""
     old_rows = list(csv.reader(io.StringIO(old)))
     new_rows = list(csv.reader(io.StringIO(new)))
     if old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
         raise ValueError("header or row count changed")
-    changed, moved, faults = 0, {}, []
-    for before, after in zip(old_rows[1:], new_rows[1:]):
-        changed += before != after
+    faults = []
+    for after in new_rows[1:]:
         row = dict(zip(new_rows[0], map(float, after)))
         if not (at_most(row["lower"], row["qtv"]) and at_most(row["qtv"], row["upper"])):
             faults.append(f"k = {after[0]}: lower <= qtv <= upper fails")
-        for name, x, y in zip(old_rows[0], before, after):
-            if x != y:
-                x, y = float(x), float(y)
-                rel = abs(x - y) / max(abs(x), abs(y))
-                moved[name] = max(moved.get(name, 0.0), rel)
-                if rel > SLACK:
-                    faults.append(f"k = {after[0]}: {name} moved by {rel:.2e} relative")
-    return changed, moved, faults
+    changed, moved, move_faults = moves(new_rows[0], old_rows[1:], new_rows[1:], 1)
+    return changed, moved, faults + move_faults
 
 
 def failures(stderr: str) -> list[list[str]] | None:

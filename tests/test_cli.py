@@ -209,6 +209,39 @@ class TestParseConfig:
         code, out, err = run_cli(["run", write_config(tmp_path, doc)], capsys)
         assert (code, out, err) == (2, "", "config error: QGWALK_TOL: not a finite number\n")
 
+    @pytest.mark.parametrize(
+        "doc, env, message",
+        [
+            (
+                {"group": "kp", "coefficients": [["g1", 1]]},
+                None,
+                "$.coefficients[0]: scalars must be [re, im] pairs or eta_pow objects",
+            ),
+            (
+                {"group": "kpn", "n": 3, "coefficients": [["rho+:0", {"eta_pow": 0, "phase": 1}]]},
+                None,
+                "$.coefficients[0]: eta form needs keys eta_pow and optional scale",
+            ),
+            (
+                {"group": "kp", "coefficients": [["g1", {"eta_pow": 0}]]},
+                None,
+                "$.coefficients[0]: eta_pow requires a group with a modulus n",
+            ),
+            ({**COSINE5, "output": 5}, None, "$.output: string path required"),
+            ({**COSINE5, "extra": 1}, None, "$: unknown keys ['extra']"),
+            (COSINE5, "abc", "QGWALK_TOL: not a number ('abc')"),
+            (COSINE5, "-1e-9", "QGWALK_TOL: must be positive"),
+        ],
+        ids=["bare-number", "eta-extra-key", "eta-without-n", "output", "unknown-key", "env-not-number", "env-negative"],
+    )
+    def test_config_error_message(self, doc, env, message, tmp_path, capsys, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("QGWALK_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QGWALK_TOL", env)
+        code, out, err = run_cli(["classify", write_config(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     @pytest.mark.parametrize("tol", ["0.1", "0.5", "1", "1e300"])
     @pytest.mark.parametrize("source", ["config", "env"])
     def test_tolerance_past_the_ambiguity_bound_exits_2(self, source, tol, tmp_path, capsys, monkeypatch):

@@ -382,6 +382,21 @@ class TestDetectCycle:
         a = phi_p(20, 1)
         assert detect_cycle(a) == classify_limit(a).period == 20
 
+    def test_classify_goldens(self):
+        # 1 for a walk that converges, the golden's period (or None) for one that diverges
+        from qgwalk.cli import parse_config, tolerance_of
+
+        paths = sorted((pathlib.Path(__file__).parent / "data" / "classify").glob("*.json"))
+        cases = [case for path in paths for case in json.loads(path.read_text()) if case["config"]["group"] == "kpn"]
+        outcomes = set()
+        for case in cases:
+            cfg, golden = parse_config(case["config"]), json.loads(case["classify"])
+            expected = golden.get("period") if golden["outcome"] == "diverges" else 1
+            a = CentralElement(cfg.n, cfg.by_label)
+            assert detect_cycle(a, tol=tolerance_of(cfg)) == expected, case["name"]
+            outcomes.add(golden["outcome"] == "diverges")
+        assert outcomes == {False, True}
+
     def test_classify_limit_validates_once(self, monkeypatch):
         calls = []
 
@@ -691,6 +706,22 @@ class TestCutoff:
         for build in (cutoff_state, walks.cutoff_table):
             with pytest.raises(ValueError, match=r"^the cosine walk requires odd n >= 3$"):
                 build(n)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: qtv_to_haar(cutoff_state(5), 0), "k must be positive"),
+        (lambda: cutoff_bounds(4, 1), "the cosine walk requires odd n >= 3"),
+        (lambda: cutoff_bounds(5, 0), "k must be positive"),
+        (lambda: dual.DualCentralElement(3, {(3, 0): 1.0}), "key (3, 0) outside Z_3 x Z_3"),
+    ],
+    ids=["qtv-k", "bounds-n", "bounds-k", "dual-key"],
+)
+def test_library_value_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestWalkTrace:
