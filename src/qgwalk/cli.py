@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class WalkConfig:
     k_max: int = 50
     tolerance: float | None = None
     output: str | None = None
-    raw_values: list = field(default_factory=list)  # original value forms, for round-trips
 
     @property
     def walk(self) -> wk.WalkGroup:
@@ -205,18 +204,7 @@ def parse_config(doc) -> WalkConfig:
     extra = set(doc) - {"group", "n", "coefficients", "k_max", "tolerance", "output"}
     if extra:
         raise ConfigError(f"$: unknown keys {sorted(extra)}")
-    return WalkConfig(group, n, by_label, k_max, tolerance, output, list(coeffs_doc))
-
-
-def serialize_config(cfg: WalkConfig) -> dict:
-    doc: dict = {"group": cfg.group, "coefficients": cfg.raw_values, "k_max": cfg.k_max}
-    if cfg.n is not None:
-        doc["n"] = cfg.n
-    if cfg.tolerance is not None:
-        doc["tolerance"] = cfg.tolerance
-    if cfg.output is not None:
-        doc["output"] = cfg.output
-    return doc
+    return WalkConfig(group, n, by_label, k_max, tolerance, output)
 
 
 def tolerance_of(cfg: WalkConfig) -> float:
@@ -425,11 +413,10 @@ def main(argv=None) -> int:
             return cmd_walk(args.command, _load_config(args.config), args.out, stdout)
         if args.command == "idempotents":
             return cmd_idempotents(args.n, args.out, stdout)
-        if args.command == "cutoff":
-            n_list = _parse_list(args.n, int, "--n")
-            c_list = [_finite(c, "--c") for c in _parse_list(args.c, float, "--c")]
-            return cmd_cutoff(n_list, c_list, args.out, stdout)
-        parser.error(f"unknown command {args.command!r}")
+        # cutoff: the subcommand is required, so argparse has refused any other
+        n_list = _parse_list(args.n, int, "--n")
+        c_list = [_finite(c, "--c") for c in _parse_list(args.c, float, "--c")]
+        return cmd_cutoff(n_list, c_list, args.out, stdout)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
@@ -440,7 +427,6 @@ def main(argv=None) -> int:
     except (wk.AmbiguousBoundaryError, np.linalg.LinAlgError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -46,6 +46,8 @@ class DualCentralElement:
         for key in self.coeffs:
             if key == XHAT:
                 continue
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, (int, np.integer)) for x in key)):
+                raise ValueError(f"key {key!r} is not an (i, j) pair of integers or 'Xhat'")
             i, j = key
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"key {key} outside Z_{self.n} x Z_{self.n}")
@@ -125,7 +127,7 @@ def dual_power(a: DualCentralElement, k: int) -> DualCentralElement:
     The coefficient at (0, 0) is 1, as for a state.
     """
     engine = _PowerEngine(_dual_table(a))
-    powered = zip(engine.table.keys, engine.coefficients(k).tolist())
+    powered = zip(engine.table.keys, engine.powers((k,))[0].tolist())
     return DualCentralElement(a.n, {(0, 0): 1.0, **{key: c for key, c in powered if c != 0.0}})
 
 
@@ -155,7 +157,7 @@ def dual_qtv_to_haar(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) ->
     difference (see ``_dual_table``).
     """
     dual_validate_state(a, tol).require()
-    return _PowerEngine(_dual_table(a)).qtv(k)
+    return _PowerEngine(_dual_table(a)).qtv_many((k,))[0]
 
 
 def dual_bounds(a: DualCentralElement, k: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:

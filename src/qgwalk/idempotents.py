@@ -24,7 +24,6 @@ from .algebra import (
     AlgebraShape,
     haar_integral,
     is_positive,
-    positivity_failures,
     unit,
 )
 from .sekine import (
@@ -59,9 +58,6 @@ class HaarSpec:
     def describe(self) -> dict:
         return {"type": "haar"}
 
-    def __str__(self) -> str:
-        return "haar"
-
 
 @dataclass(frozen=True)
 class HGammaSpec:
@@ -72,9 +68,6 @@ class HGammaSpec:
     def describe(self) -> dict:
         return {"type": "h_gamma", "gamma": sorted(self.members)}
 
-    def __str__(self) -> str:
-        return f"h_gamma[{len(self.members)}]"
-
 
 @dataclass(frozen=True)
 class HGammaLSpec:
@@ -83,9 +76,6 @@ class HGammaLSpec:
 
     def describe(self) -> dict:
         return {"type": "h_gamma_l", "q": self.q, "l": self.l}
-
-    def __str__(self) -> str:
-        return f"h_gamma_l(q={self.q},l={self.l})"
 
 
 @dataclass(frozen=True)
@@ -99,9 +89,6 @@ class HGammaLTauSpec:
 
     def describe(self) -> dict:
         return {"type": "h_gamma_l_tau", "p": self.p, "q": self.q, "l": self.l, "tau": list(self.tau)}
-
-    def __str__(self) -> str:
-        return f"h_gamma_l_tau(p={self.p},q={self.q},l={self.l},tau={''.join('+' if t > 0 else '-' for t in self.tau)})"
 
 
 IdempotentSpec = HaarSpec | HGammaSpec | HGammaLSpec | HGammaLTauSpec
@@ -163,47 +150,39 @@ def subgroups_znxzn(n: int) -> list[frozenset[tuple[int, int]]]:
     return [_members(n, a, c, b) for a in divisors for b in divisors for c in range(b) if (n // a) * c % b == 0]
 
 
-def sign_vector_dft(tau, p: int) -> np.ndarray:
-    """DFT of a sign vector on a cyclic group of order p."""
-    t = np.asarray(tau, dtype=np.complex128)
-    if t.shape != (p,):
-        raise InvalidSpecError(f"tau must have length {p}")
-    omega = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    return omega @ t
-
-
-# The message for the first positivity condition that a sign vector's DFT fails.
-_SIGN_VECTOR_FAILURES = {
-    "abelian coefficient not real": "tau has a non-real Fourier value",
-    "negative abelian coefficient": "tau has a negative Fourier value",
-}
-
-
-def check_sign_vector(tau, p: int, tol: float = DEFAULT_TOL) -> None:
-    """Every DFT value must be real and nonnegative.
+def check_sign_vector(tau, p: int) -> None:
+    """Every DFT value must be real and nonnegative: tau must be one of ``valid_sign_vectors(p)``.
 
     Nonnegativity (rather than strict positivity) is exactly positive
     semi-definiteness of the associated circulant matrix part; the
     constant vector attains zero values and is the basic valid choice.
+    Any other sign vector is refused exactly, with no DFT: when tau is
+    not symmetric under t -> -t, its odd part is non-zero at some t and
+    -t, so by Parseval the DFT has an imaginary part of modulus at least
+    sqrt(2) somewhere; when it is symmetric, the DFT is real and, tau
+    not being valid, negative somewhere.
     """
     if any(t not in (1, -1) for t in tau):
         raise InvalidSpecError("tau entries must be +1 or -1")
-    failures = positivity_failures(sign_vector_dft(tau, p), np.zeros((0, 0)), tol)
-    if failures:
-        raise InvalidSpecError(_SIGN_VECTOR_FAILURES[failures[0][0]])
+    if len(tau) != p:
+        raise InvalidSpecError(f"tau must have length {p}")
+    if tuple(tau) not in valid_sign_vectors(p):
+        symmetric = all(tau[t] == tau[-t % p] for t in range(p))
+        raise InvalidSpecError(f"tau has a {'negative' if symmetric else 'non-real'} Fourier value")
 
 
 def valid_sign_vectors(p: int) -> list[tuple[int, ...]]:
     """All sign vectors of length p with nonnegative DFT.
 
-    By Parseval these are exactly the constant vector and, when p is
-    even, the alternating vector; both are validated before returning.
+    These are exactly the constant vector and, when p is even, the
+    alternating vector.  For a valid tau the p DFT values are nonnegative,
+    sum to p tau_0 <= p and, by Parseval, have squares summing to p^2,
+    which forces a single non-zero value p: tau is a character of Z_p
+    with values +-1, the trivial one or, for even p, t -> (-1)^t.
     """
     candidates = [tuple([1] * p)]
     if p % 2 == 0:
         candidates.append(tuple(1 if t % 2 == 0 else -1 for t in range(p)))
-    for tau in candidates:
-        check_sign_vector(tau, p)
     return candidates
 
 

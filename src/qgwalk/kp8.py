@@ -148,13 +148,13 @@ def _kp_table(g: KPCoefficients) -> WalkTable:
 def kp_convolution_power(g: KPCoefficients, k: int) -> KPCoefficients:
     """Coefficientwise power g_alpha^k / d_alpha^(k-1); g1 is 1, as for a state."""
     engine = g._engine
-    return KPCoefficients(1.0, **dict(zip(engine.table.keys, engine.coefficients(k).tolist())))
+    return KPCoefficients(1.0, **dict(zip(engine.table.keys, engine.powers((k,))[0].tolist())))
 
 
 def kp_qtv_to_haar(g: KPCoefficients, k: int) -> float:
     """Exact distance of the k-th convolution power to the Haar state."""
     kp_validate_state(g).require()
-    return g._engine.qtv(k)
+    return g._engine.qtv_many((k,))[0]
 
 
 def kp_bounds(g: KPCoefficients, k: int) -> tuple[float, float]:
@@ -188,9 +188,6 @@ def kp_fourier_profile(x: AlgebraElement) -> KPProfile:
 def kp_central_block(g: KPCoefficients) -> np.ndarray:
     """Closed form of the 2x2 block for a character combination: gX/2 * I."""
     return 0.5 * complex(g.gX) * np.eye(2, dtype=np.complex128)
-
-
-PAL_COUNT = 8
 
 
 def pal_idempotents() -> list[AlgebraElement]:

@@ -190,10 +190,10 @@ class _PowerEngine:
     r_alpha^k.  Powers are taken in polar form, |r_alpha|^k times
     exp(i k theta_alpha), with exact phases at the roots of unity; a
     state has |r_alpha| <= 1, so nothing overflows, and a non-finite
-    result raises OverflowError.  The same formulas serve KP_n (built
-    from a CentralElement), the Kac-Paljutkin group and the dual of KP_n
-    (built from their WalkTable).  All three values are read off the
-    same magnitudes |r_alpha|^k:
+    result raises OverflowError.  The same formulas serve KP_n, the
+    Kac-Paljutkin group and the dual of KP_n, each described by its
+    WalkTable.  All three values are read off the same magnitudes
+    |r_alpha|^k:
 
     * qtv = 1/2 ||a^k - h||_1, the weighted abs-sum of the table's
       Fourier values (``WalkTable.synth``) of the phased powers; no step
@@ -202,23 +202,23 @@ class _PowerEngine:
       the powered magnitudes d_alpha |r_alpha|^k;
     * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
 
-    Each takes a sequence of k and gives one value per k; ``measure``
-    gives all three from one pass, so a walk is one engine call, and a
-    call for the bounds alone takes no phases and no synthesis.  The
-    work runs over the ks a chunk at a time, with a leading K axis (see
-    ``CHUNK_VALUES``); the one-k forms ``qtv``, ``lower``, ``upper`` and
-    ``coefficients`` are that call with one k.  The ks stay Python ints:
+    Each call takes a sequence of k and gives one row or value per k;
+    ``measure`` gives all three from one pass, so a walk is one engine
+    call, and a call for the bounds alone takes no phases and no
+    synthesis.  The work runs over the ks a chunk at a time, with a
+    leading K axis (see ``CHUNK_VALUES``); a one-k question is a call
+    with one k, whose row 0 is the answer.  The ks stay Python ints:
     k mod ``order`` is taken in integer arithmetic, and k itself enters
     as a float, so k = 10**307 works where an int64 array could not hold
     it.
     """
 
-    def __init__(self, a: CentralElement | WalkTable):
-        self.table = t = a if isinstance(a, WalkTable) else _kpn_table(a)
-        mod = np.abs(t.ratios)
+    def __init__(self, table: WalkTable):
+        self.table = table
+        mod = np.abs(table.ratios)
         # per-character rows of shape (1, m): a lone k meets them without broadcasting
         self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)[None]
-        self._dims = t.dims[None]
+        self._dims = table.dims[None]
         self._turns = None  # the phases, set on the first power; the bounds never need them
 
     def _magnitudes(self, ks: Sequence[int]) -> tuple[float | np.ndarray, np.ndarray]:
@@ -260,15 +260,12 @@ class _PowerEngine:
     def powers(self, ks: Sequence[int]) -> np.ndarray:
         """a_alpha^k / d_alpha^(k-1): one row per k, one column per non-trivial character.
 
-        Non-finite powers are left for the caller to refuse.
+        A non-finite power raises.
         """
-        exps, mag = self._magnitudes(ks)
-        return self._phased(ks, exps, self._dims * mag)
-
-    def coefficients(self, k: int) -> np.ndarray:
-        """a_alpha^k / d_alpha^(k-1) for the table's non-trivial characters."""
-        (c,) = self.powers((k,))
-        _finite(c.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            exps, mag = self._magnitudes(ks)
+            c = self._phased(ks, exps, self._dims * mag)
+        _finite(c.ravel().tolist())
         return c
 
     def _pass(self, ks: Sequence[int], distance: bool, bounds: bool) -> list[list[float]]:
@@ -312,45 +309,32 @@ class _PowerEngine:
         """The columns qtv, lower and upper over the ks, from one power pass."""
         return self._pass(ks, True, True)
 
-    def steps(self, ks: Sequence[int]) -> list[WalkStep]:
-        """qtv, lower and upper at each k."""
-        return [WalkStep(k, q, lo, up) for k, q, lo, up in zip(ks, *self.measure(ks))]
-
-    def qtv(self, k: int) -> float:
-        return self.qtv_many((k,))[0]
-
-    def lower(self, k: int) -> float:
-        return self.bounds_many((k,))[0][0]
-
-    def upper(self, k: int) -> float:
-        return self.bounds_many((k,))[0][1]
-
 
 def convolution_power(a: CentralElement, k: int) -> CentralElement:
     """Coefficients of the k-th convolution power of a state."""
     if k == 1:
         return a
-    engine = _PowerEngine(a)
-    powered = zip(engine.table.keys, engine.coefficients(k))
+    engine = _PowerEngine(_kpn_table(a))
+    powered = zip(engine.table.keys, engine.powers((k,))[0])
     return CentralElement(a.n, {trivial_label(): 1.0, **{l: complex(c) for l, c in powered if c != 0.0}})
 
 
 def qtv_to_haar(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Exact total variation distance of the k-th power to the Haar state."""
     validate_state(a, tol).require()
-    return _PowerEngine(a).qtv(k)
+    return _PowerEngine(_kpn_table(a)).qtv_many((k,))[0]
 
 
 def ds_upper_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Upper mixing bound: sqrt of the weighted power sums of |a_alpha|."""
     validate_state(a, tol).require()
-    return _PowerEngine(a).upper(k)
+    return _PowerEngine(_kpn_table(a)).bounds_many((k,))[0][1]
 
 
 def ds_lower_bound(a: CentralElement, k: int, tol: float = DEFAULT_TOL) -> float:
     """Lower mixing bound: half the k-th power of the largest ratio."""
     validate_state(a, tol).require()
-    return _PowerEngine(a).lower(k)
+    return _PowerEngine(_kpn_table(a)).bounds_many((k,))[0][0]
 
 
 def circle_period(ratios, max_period: int, tol: float) -> int | None:
@@ -576,5 +560,6 @@ def walk_trace(
 ) -> WalkReport:
     """Record exact distance and both bounds for k = 1..k_max."""
     classification = classify_limit(a, tol, max_period=max_period)  # the state check
-    steps = _PowerEngine(classification.table).steps(range(1, k_max + 1))
+    ks = range(1, k_max + 1)
+    steps = [WalkStep(k, q, lo, up) for k, q, lo, up in zip(ks, *_PowerEngine(classification.table).measure(ks))]
     return WalkReport(a.n, steps, classification)

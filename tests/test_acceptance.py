@@ -61,6 +61,7 @@ from qgwalk.sekine import (
     x_label,
 )
 from qgwalk.walks import (
+    _kpn_table,
     _PowerEngine,
     classify_limit,
     convolution_power,
@@ -132,8 +133,8 @@ def test_criterion_3_cutoff_bounds():
     t0 = time.perf_counter()
     values = {}
     for n, c, k in _cutoff_grid():
-        engine = _PowerEngine(cutoff_state(n))
-        q = engine.qtv(k)
+        engine = _PowerEngine(_kpn_table(cutoff_state(n)))
+        q = engine.qtv_many((k,))[0]
         values[(n, c)] = q
         lower, _, upper_theorem = cutoff_bounds(n, k)
         assert lower - 1e-9 <= q, (n, c, k, lower, q)
@@ -178,7 +179,7 @@ def test_criterion_3_no_cutoff_window_at_c0():
     ok = True
     for n in (5, 15, 51):
         k = n * n
-        q = _PowerEngine(cutoff_state(n)).qtv(k)
+        q = _PowerEngine(_kpn_table(cutoff_state(n))).qtv_many((k,))[0]
         lower = 0.5 * math.exp(-math.pi**2 / 2 - math.pi**4 / (4 * n * n))
         ref = _cosine_qtv_reference(n, k)
         rel = abs(q - ref) / ref

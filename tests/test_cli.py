@@ -21,7 +21,6 @@ from qgwalk.cli import (
     ConfigError,
     main,
     parse_config,
-    serialize_config,
     tolerance_of,
 )
 from qgwalk.idempotents import ENUMERATION_CAP, build_idempotent, enumerate_central_idempotents
@@ -106,11 +105,6 @@ CONFIG_DOCS = st.fixed_dictionaries(
 
 
 class TestParseConfig:
-    def test_round_trip(self):
-        cfg = parse_config(json.dumps(PHI_P_6))
-        again = parse_config(json.dumps(serialize_config(cfg)))
-        assert again == cfg
-
     def test_eta_pow_exact(self):
         cfg = parse_config(json.dumps(PHI_P_6))
         assert cfg.by_label[sekine.rho_plus(2)] == pytest.approx(np.exp(2j * np.pi * 2 / 6), abs=1e-15)
@@ -231,8 +225,28 @@ class TestParseConfig:
             ({**COSINE5, "extra": 1}, None, "$: unknown keys ['extra']"),
             (COSINE5, "abc", "QGWALK_TOL: not a number ('abc')"),
             (COSINE5, "-1e-9", "QGWALK_TOL: must be positive"),
+            ({"group": "kp", "coefficients": [["g1"]]}, None, "$.coefficients[0]: expected [label, value]"),
+            ({"group": "kp", "coefficients": [["g9", [1, 0]]]}, None, "$.coefficients[0]: unknown label 'g9'"),
+            ({"group": "kpn", "n": 3, "coefficients": [["rho+:3", [1, 0]]]}, None, "$.coefficients[0]: rho+:3 invalid for n=3"),
+            (
+                {"group": "kpn", "n": 4, "coefficients": [["sigma-:4", [1, 0]]]},
+                None,
+                "$.coefficients[0]: sigma-:4 invalid for n=4",
+            ),
         ],
-        ids=["bare-number", "eta-extra-key", "eta-without-n", "output", "unknown-key", "env-not-number", "env-negative"],
+        ids=[
+            "bare-number",
+            "eta-extra-key",
+            "eta-without-n",
+            "output",
+            "unknown-key",
+            "env-not-number",
+            "env-negative",
+            "no-value",
+            "unknown-kp-label",
+            "rho-index",
+            "sigma-index",
+        ],
     )
     def test_config_error_message(self, doc, env, message, tmp_path, capsys, monkeypatch):
         if env is None:
@@ -908,6 +922,14 @@ class TestExitContract:
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("argv", [["foo"], []], ids=["unknown", "none"])
+    def test_command_is_required(self, argv, capsys):
+        # argparse refuses the command line before main branches on the command
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -14,6 +14,7 @@ from qgwalk.idempotents import (
     InvalidSpecError,
     annihilator,
     build_idempotent,
+    check_sign_vector,
     enumerate_central_idempotents,
     hermite_form,
     idempotent_profile,
@@ -143,15 +144,22 @@ class TestSignVectors:
         assert len(valid_sign_vectors(3)) == 1
 
     def test_exhaustive_small(self):
-        # brute-force filter over all sign vectors agrees
-        from qgwalk.idempotents import sign_vector_dft
-
-        for p in (2, 3, 4, 5, 6):
+        # a brute-force DFT filter over all sign vectors agrees, in verdict and in message
+        for p in range(2, 13):
+            omega = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
             brute = []
             for bits in product((1, -1), repeat=p):
-                d = sign_vector_dft(bits, p)
-                if np.abs(d.imag).max() < 1e-9 and d.real.min() > -1e-9:
+                d = omega @ np.array(bits, dtype=np.complex128)
+                if np.abs(d.imag).max() > 1e-9:
+                    failure = "non-real"
+                elif d.real.min() < -1e-9:
+                    failure = "negative"
+                else:
                     brute.append(bits)
+                    check_sign_vector(bits, p)
+                    continue
+                with pytest.raises(InvalidSpecError, match=f"^tau has a {failure} Fourier value$"):
+                    check_sign_vector(bits, p)
             assert sorted(brute) == sorted(valid_sign_vectors(p))
 
 
@@ -194,6 +202,9 @@ class TestBuildIdempotent:
 
     def test_unit_scaled_not_idempotent(self):
         assert not is_idempotent_state(2.0 * unit(AlgebraShape.sekine(3)), 1e-10)
+        # normalized but not positive: the refusal comes from the positivity check
+        one = unit(AlgebraShape.sekine(3))
+        assert not is_idempotent_state(AlgebraElement(one.shape, [3, 1, 1, 1, 1, 1, 1, 1, -1], one.matrix), 1e-10)
 
 
 class TestIdempotentProfile:

@@ -3,6 +3,7 @@ import math
 import pathlib
 import sys
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -14,16 +15,21 @@ from hypothesis import strategies as st
 from qgwalk import algebra, dual, kp8
 from qgwalk.algebra import l1_norm
 from qgwalk.idempotents import (
+    HaarSpec,
     HGammaLSpec,
     HGammaLTauSpec,
     HGammaSpec,
     build_idempotent,
     enumerate_central_idempotents,
+    idempotent_profile,
     subgroups_znxzn,
+    validate_spec,
 )
 from qgwalk.sekine import (
     CentralElement,
+    IrrepLabel,
     central_profile,
+    check_label,
     central_to_element,
     convolve,
     element_to_central,
@@ -157,18 +163,18 @@ class TestQtvToHaar:
 
 def _dense_kpn_qtv(engine, n, k):
     """1/2 ||a^k - h||_1 from the dense coordinates of a^k - h and an SVD of its matrix block."""
-    powered = CentralElement(n, dict(zip(engine.table.keys, engine.coefficients(k))))
+    powered = CentralElement(n, dict(zip(engine.table.keys, engine.powers((k,))[0])))
     return 0.5 * l1_norm(central_to_element(powered))
 
 
 def _dense_kp_qtv(engine, n, k):
     """1/2 ||a^k - h||_1 on C^4 + M_2(C) (n is None): a^k - h has no rho1 term."""
-    return 0.5 * l1_norm(kp8.kp_element(kp8.KPCoefficients(0.0, *engine.coefficients(k))))
+    return 0.5 * l1_norm(kp8.kp_element(kp8.KPCoefficients(0.0, *engine.powers((k,))[0])))
 
 
 def _dense_dual_qtv(engine, n, k):
     """Half the weighted trace norm of 2n^2 times the Fourier profile of the primal element of a^k - h."""
-    powered = dual.DualCentralElement(n, dict(zip(engine.table.keys, engine.coefficients(k))))
+    powered = dual.DualCentralElement(n, dict(zip(engine.table.keys, engine.powers((k,))[0])))
     prof = fourier_profile(dual.dual_to_primal(powered))
     scale = 2.0 * n * n
     total = sum(abs(scale * value) for value in prof.scalars.values())
@@ -205,11 +211,11 @@ class TestSpectralDistance:
                 states.append(_keep(a, rho + sigma))
             for state in states:
                 validate_state(state).require()
-                engine = _PowerEngine(state)
+                engine = _PowerEngine(walks._kpn_table(state))
                 for k in (1, 2, 5, 50, 400):
                     dense = _dense_kpn_qtv(engine, n, k)
                     kinds = sorted({label.kind for label in state.coeffs})
-                    assert engine.qtv(k) == pytest.approx(dense, rel=1e-12, abs=0.0), (n, kinds, k)
+                    assert engine.qtv_many((k,))[0] == pytest.approx(dense, rel=1e-12, abs=0.0), (n, kinds, k)
 
     def test_matches_dense_oracle_on_run_goldens(self):
         # the configs whose CSVs tests/data/run pins, at their k_max = 30
@@ -223,7 +229,7 @@ class TestSpectralDistance:
             engine = _PowerEngine(_walk(cfg, tolerance_of(cfg))[2])
             for k in range(1, cfg.k_max + 1):
                 dense = DENSE_QTV[cfg.group](engine, cfg.n, k)
-                assert engine.qtv(k) == pytest.approx(dense, rel=1e-12, abs=0.0), (case["name"], k)
+                assert engine.qtv_many((k,))[0] == pytest.approx(dense, rel=1e-12, abs=0.0), (case["name"], k)
 
     def test_no_step_takes_an_svd(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
@@ -241,7 +247,7 @@ class TestSpectralDistance:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(algebra, "l1_norm", refuse)
         for table in tables:
-            assert _PowerEngine(table).qtv(3) > 0.0
+            assert _PowerEngine(table).qtv_many((3,))[0] > 0.0
 
     def test_rho_only_tables_fold_the_abelian_part(self):
         # rho labels only: two length-n spectra under the one weight 1/(2n)
@@ -257,7 +263,7 @@ class TestSpectralDistance:
         # squares underflow nor a reciprocal of a subnormal is taken
         def qtv(scale):
             a = CentralElement(4, {trivial_label(): 1.0, rho_plus(1): 0.3 * scale, sigma_minus(2): 0.2j * scale})
-            return _PowerEngine(a).qtv(1)
+            return _PowerEngine(walks._kpn_table(a)).qtv_many((1,))[0]
 
         for scale in (1e-160, 1e-200, 1e-300):
             assert qtv(scale) == pytest.approx(scale * qtv(1.0), rel=1e-12)
@@ -448,13 +454,11 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("name", sorted(BATCH_TABLES))
     def test_batched_equals_per_k(self, name):
         engine = _PowerEngine(BATCH_TABLES[name])
-        assert _bits(engine.qtv_many(BATCH_KS)) == _bits([engine.qtv(k) for k in BATCH_KS])
-        assert _bits(engine.powers(BATCH_KS)) == _bits([engine.coefficients(k) for k in BATCH_KS])
+        assert _bits(engine.qtv_many(BATCH_KS)) == _bits([engine.qtv_many((k,))[0] for k in BATCH_KS])
+        assert _bits(engine.powers(BATCH_KS)) == _bits([engine.powers((k,))[0] for k in BATCH_KS])
         pairs = engine.bounds_many(BATCH_KS)
-        assert _bits(pairs) == _bits([(engine.lower(k), engine.upper(k)) for k in BATCH_KS])
-        steps = engine.steps(BATCH_KS)
-        assert [s.k for s in steps] == BATCH_KS
-        assert _bits([(s.qtv, s.lower, s.upper) for s in steps]) == _bits(
+        assert _bits(pairs) == _bits([engine.bounds_many((k,))[0] for k in BATCH_KS])
+        assert _bits(list(zip(*engine.measure(BATCH_KS)))) == _bits(
             [(q, lo, up) for q, (lo, up) in zip(engine.qtv_many(BATCH_KS), pairs)]
         )
 
@@ -468,11 +472,11 @@ class TestBatchedEngine:
 
     def test_empty_batch(self):
         engine = _PowerEngine(BATCH_TABLES["kp"])
-        assert engine.qtv_many([]) == [] and engine.bounds_many([]) == [] and engine.steps([]) == []
+        assert engine.qtv_many([]) == [] and engine.bounds_many([]) == [] and engine.measure([]) == [[], [], []]
 
     def test_huge_k_alone_and_mixed(self):
         # the huge ks have no int64 form; batched with small ones they keep exact phases and decay to 0
-        engine = _PowerEngine(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0, rho_plus(1): 0.5}))
+        engine = _PowerEngine(walks._kpn_table(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0, rho_plus(1): 0.5})))
         ks = [2**53 + 1, 10**30 + 1, 10**307, 2, 3]
         powers = engine.powers(ks)
         # the ratio -1 sits at a root of unity of order 4: its powers alternate with the parity of k
@@ -481,7 +485,7 @@ class TestBatchedEngine:
 
     def test_walk_memory_is_bounded(self):
         # unchunked, 1000 steps at n = 201 would hold about 650 MB per array
-        engine = _PowerEngine(random_central_state(201, np.random.default_rng(201)))
+        engine = _PowerEngine(walks._kpn_table(random_central_state(201, np.random.default_rng(201))))
         tracemalloc.start()
         try:
             engine.qtv_many(range(1, 1001))
@@ -591,18 +595,20 @@ class TestBounds:
         t = top / np.abs(table.ratios).max()
         tiny = CentralElement(6, {l: c if l == trivial_label() else t * c for l, c in a.coeffs.items()})
         validate_state(tiny).require()
-        engine = _PowerEngine(tiny)
-        assert engine.lower(k) > 1e-171
-        assert engine.upper(k) > 1e-171
+        engine = _PowerEngine(walks._kpn_table(tiny))
+        lower, upper = engine.bounds_many((k,))[0]
+        assert lower > 1e-171
+        assert upper > 1e-171
         self._assert_bounds(engine.table, [k])
 
     @pytest.mark.parametrize("labels", [(rho_minus(0),), (rho_plus(1), rho_plus(4)), (rho_minus(2), rho_minus(3))])
     def test_subnormal_powers_keep_the_sandwich(self, labels):
         # no slack: a row scaled by its exponent rounds once, after the square root
         for m in range(1, 60):
-            engine = _PowerEngine(CentralElement(5, {trivial_label(): 1.0, **dict.fromkeys(labels, m * 5e-324)}))
+            engine = _PowerEngine(walks._kpn_table(CentralElement(5, {trivial_label(): 1.0, **dict.fromkeys(labels, m * 5e-324)})))
             for k in (1, 2):
-                assert engine.lower(k) <= engine.qtv(k) <= engine.upper(k), (m, k)
+                lower, upper = engine.bounds_many((k,))[0]
+                assert lower <= engine.qtv_many((k,))[0] <= upper, (m, k)
 
     def test_on_the_circle_at_huge_k(self):
         # every ratio of phi_5 lies on the circle: its powers keep modulus 1 at k = 10**307
@@ -616,23 +622,39 @@ class TestHugeK:
     """Powers at k far beyond 2^53 keep exact phases and do not overflow."""
 
     def test_root_of_unity_phase_beyond_2_53(self):
-        engine = _PowerEngine(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0}))
+        engine = _PowerEngine(walks._kpn_table(CentralElement(4, {trivial_label(): 1.0, rho_plus(2): -1.0})))
         for k in (2**53 + 1, 2**60 + 3, 10**30 + 1):
-            assert engine.coefficients(k)[0] == pytest.approx(-1.0)
-            assert engine.coefficients(k + 1)[0] == pytest.approx(1.0)
+            assert engine.powers((k,))[0][0] == pytest.approx(-1.0)
+            assert engine.powers((k + 1,))[0][0] == pytest.approx(1.0)
 
     def test_order_n_roots_beyond_2_53(self):
         n = 5
-        engine = _PowerEngine(phi_p(n, 1))
+        engine = _PowerEngine(walks._kpn_table(phi_p(n, 1)))
         k = 2**55 + 2
         expected = [eta(n) ** ((l * k) % n) for l in range(1, n)]
-        assert np.allclose(engine.coefficients(k), expected, rtol=0, atol=1e-12)
+        assert np.allclose(engine.powers((k,))[0], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "power",
+        [
+            lambda: convolution_power(CentralElement(3, {trivial_label(): 1.0, rho_plus(1): 2.0}), 1200),
+            lambda: kp8.kp_convolution_power(kp8.KPCoefficients(1.0, 2.0), 1200),
+            lambda: dual.dual_power(dual.DualCentralElement(3, {(0, 0): 1.0, (1, 0): 2.0}), 1200),
+        ],
+        ids=["kpn", "kp", "dual"],
+    )
+    def test_power_past_the_float_range_raises_without_a_warning(self, power):
+        # these are not states: a ratio above 1 powers past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^the powers of the walk leave the floating-point range$"):
+                power()
 
     def test_decayed_power_has_no_phase(self):
-        engine = _PowerEngine(cutoff_state(61))
+        engine = _PowerEngine(walks._kpn_table(cutoff_state(61)))
         k = 10**307
-        assert np.all(engine.coefficients(k) == 0)
-        assert engine.qtv(k) == 0.0 and engine.lower(k) == 0.0 and engine.upper(k) == 0.0
+        assert np.all(engine.powers((k,))[0] == 0)
+        assert engine.qtv_many((k,))[0] == 0.0 and engine.bounds_many((k,))[0] == (0.0, 0.0)
 
 
 class TestCutoff:
@@ -715,8 +737,44 @@ class TestCutoff:
         (lambda: cutoff_bounds(4, 1), "the cosine walk requires odd n >= 3"),
         (lambda: cutoff_bounds(5, 0), "k must be positive"),
         (lambda: dual.DualCentralElement(3, {(3, 0): 1.0}), "key (3, 0) outside Z_3 x Z_3"),
+        (
+            lambda: dual.DualCentralElement(3, {(0, 0): 1.0, (1.5, 0): 0.5}),
+            "key (1.5, 0) is not an (i, j) pair of integers or 'Xhat'",
+        ),
+        (lambda: dual.DualCentralElement(3, {(1,): 1.0}), "key (1,) is not an (i, j) pair of integers or 'Xhat'"),
+        (lambda: dual.DualCentralElement(3, {"e:1,0": 1.0}), "key 'e:1,0' is not an (i, j) pair of integers or 'Xhat'"),
+        (lambda: check_label(4, IrrepLabel("tau", 0)), "unknown label kind 'tau'"),
+        (lambda: validate_spec(HGammaSpec(frozenset({(0, 0), (5, 0)})), 4), "member (5, 0) outside Z_4 x Z_4"),
+        (lambda: validate_spec(HGammaLSpec(2, 2), 4), "l=2 outside Z_2"),
+        (lambda: validate_spec(HGammaLTauSpec(2, 3, 0, (1, 1)), 4), "need p > 1 and p*q = n, got p=2, q=3, n=4"),
+        (lambda: validate_spec(HGammaLTauSpec(2, 2, 2, (1, 1)), 4), "l=2 outside Z_2"),
+        (lambda: validate_spec("nope", 4), "unknown spec 'nope'"),
+        (lambda: idempotent_profile(HaarSpec(), 4), "closed-form profile exists for the diagonal families only"),
+        (lambda: validate_spec(HGammaLTauSpec(4, 1, 0, (1, 1, -1, 1)), 4), "tau has a negative Fourier value"),
+        (lambda: validate_spec(HGammaLTauSpec(3, 1, 0, (1, 1, -1)), 3), "tau has a non-real Fourier value"),
+        (lambda: validate_spec(HGammaLTauSpec(2, 2, 0, (1, 2)), 4), "tau entries must be +1 or -1"),
+        (lambda: validate_spec(HGammaLTauSpec(2, 2, 0, (1,)), 4), "tau must have length 2"),
     ],
-    ids=["qtv-k", "bounds-n", "bounds-k", "dual-key"],
+    ids=[
+        "qtv-k",
+        "bounds-n",
+        "bounds-k",
+        "dual-key",
+        "dual-key-float",
+        "dual-key-short",
+        "dual-key-text",
+        "label-kind",
+        "gamma-member",
+        "q-l",
+        "p-q-n",
+        "p-q-l",
+        "unknown-spec",
+        "profile-family",
+        "tau-negative",
+        "tau-non-real",
+        "tau-entries",
+        "tau-length",
+    ],
 )
 def test_library_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -816,7 +874,7 @@ def assert_walk_invariants(table):
     engine = _PowerEngine(table)
     previous = 1.0
     for k in FIBONACCI_K:
-        qtv, lower, upper = engine.qtv(k), engine.lower(k), engine.upper(k)
+        qtv, (lower, upper) = engine.qtv_many((k,))[0], engine.bounds_many((k,))[0]
         assert 0.0 <= qtv and _at_most(qtv, 1.0), (k, qtv)
         assert _at_most(qtv, previous), (k, previous, qtv)
         assert _at_most(lower, qtv) and _at_most(qtv, upper), (k, lower, qtv, upper)
@@ -923,4 +981,4 @@ class TestClassifierAgreesWithEngine:
             c = walks.classify_walk(group, a)
         except AmbiguousBoundaryError:
             return
-        assert (_PowerEngine(c.table).qtv(10**11) == 0.0) == (c.kind == "haar"), c
+        assert (_PowerEngine(c.table).qtv_many((10**11,))[0] == 0.0) == (c.kind == "haar"), c
