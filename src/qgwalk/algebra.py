@@ -173,23 +173,25 @@ def positivity_failures(abelian, matrix, tol: float = DEFAULT_TOL) -> list[tuple
     as witness (index into ``abelian``'s own shape); the matrix part, a
     block or a stack of blocks, must be hermitian (witness: the largest
     deviation) and then positive semi-definite (the smallest eigenvalue).
+    Each comparison is written so that NaN fails it, as in a density that
+    overflowed.
     """
     failures: list[tuple[str, object]] = []
     imag = np.abs(abelian.imag)
-    if imag.max(initial=0.0) > tol:
+    if not imag.max(initial=0.0) <= tol:
         idx = np.unravel_index(imag.argmax(), abelian.shape)
         failures.append(("abelian coefficient not real", (tuple(int(k) for k in idx), complex(abelian[idx]))))
     rmin = abelian.real.min(initial=0.0)
-    if rmin < -tol:
+    if not rmin >= -tol:
         idx = np.unravel_index(abelian.real.argmin(), abelian.shape)
         failures.append(("negative abelian coefficient", (tuple(int(k) for k in idx), float(rmin))))
     if matrix.size:
         hdev = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max()
-        if hdev > tol:
+        if not hdev <= tol:
             failures.append(("matrix not hermitian", float(hdev)))
         else:
             emin = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().swapaxes(-1, -2))).min())
-            if emin < -tol:
+            if not emin >= -tol:
                 failures.append(("matrix not PSD", emin))
     return failures
 

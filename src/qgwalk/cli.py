@@ -151,11 +151,21 @@ def _parse_dual_label(text: str, n: int, path: str):
     raise ConfigError(f"{path}: unknown label {text!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a key given twice is refused, as a label given twice is."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:  # the hook sees no path, so a nested key is named from the root
+            raise ConfigError(f"$: duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_config(doc) -> WalkConfig:
     """Validate a JSON config document into a WalkConfig."""
     if isinstance(doc, (str, bytes)):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"$: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -15,7 +15,6 @@ KP_n: each group describes itself by a WalkTable.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -169,10 +168,10 @@ def _flat_table(n: int, keys: Sequence, slots: np.ndarray, ratios: np.ndarray, d
     return table(synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n)
 
 
-def _finite(values: list):
-    if not all(map(cmath.isfinite, values)):
+def _finite(values: np.ndarray) -> list:
+    if not np.isfinite(values).all():
         raise OverflowError("the powers of the walk leave the floating-point range")
-    return values
+    return values.tolist()
 
 
 @dataclass(frozen=True)
@@ -203,25 +202,29 @@ class _PowerEngine:
     * lower = 1/2 max |r_alpha|^k over the table's lower-bound ratios.
 
     Each call takes a sequence of k and gives one row or value per k;
-    ``measure`` gives all three from one pass, so a walk is one engine
-    call, and a call for the bounds alone takes no phases and no
-    synthesis.  The work runs over the ks a chunk at a time, with a
-    leading K axis (see ``CHUNK_VALUES``); a one-k question is a call
-    with one k, whose row 0 is the answer.  The ks stay Python ints:
-    k mod ``order`` is taken in integer arithmetic, and k itself enters
-    as a float, so k = 10**307 works where an int64 array could not hold
-    it.
+    ``measure`` gives all three from one pass, so a walk is one engine call.
+    A call for the bounds alone forms no phase factor and no synthesis: the
+    phase angles are set when the engine is built.  The work runs over the
+    ks a chunk at a time, with a leading K axis (see ``CHUNK_VALUES``); a
+    one-k question is a batch of one k, whose row 0 is the answer.  The ks
+    stay Python ints: k mod ``order`` is taken in integer arithmetic, and k
+    itself enters as a float, so k = 10**307 works where an int64 array
+    could not hold it.
     """
 
     def __init__(self, table: WalkTable):
         self.table = table
         mod = np.abs(table.ratios)
-        # per-character rows of shape (1, m): a lone k meets them without broadcasting
+        # per-character rows of shape (1, m), against which the column of ks broadcasts
         self._mod = np.where(np.abs(mod - 1.0) <= ROOT_TOL, 1.0, mod)[None]
         self._dims = table.dims[None]
-        self._turns = None  # the phases, set on the first power; the bounds never need them
+        # phases in units of 2 pi / order, snapped to integers at roots of unity
+        turns = np.arctan2(table.ratios.imag, table.ratios.real)[None] * (table.order / (2.0 * np.pi))
+        root = np.rint(turns)
+        self._exact = np.abs(turns - root) <= ROOT_TOL
+        self._turns = np.where(self._exact, root, turns)
 
-    def _magnitudes(self, ks: Sequence[int]) -> tuple[float | np.ndarray, np.ndarray]:
+    def _magnitudes(self, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Each k as the nearest float, and |r_alpha|^k.
 
         The floats are a column, one row per k; the magnitudes have one
@@ -229,28 +232,18 @@ class _PowerEngine:
         """
         if min(ks, default=1) < 1:
             raise ValueError("k must be positive")
-        if len(ks) == 1:
-            # a lone k stays a Python scalar: numpy takes it at the least cost
-            exps = float(ks[0])
-            return exps, self._mod**exps
         exps = np.array(ks, dtype=float)[:, None]
         mag = self._mod**exps
         if 2 in ks:
-            # numpy squares for a lone exponent of 2; the column must not move by an ulp
+            # squared, as the pinned k = 2 rows were: an array power of 2.0 can be an ulp off x*x
             mag[exps[:, 0] == 2.0] = np.square(self._mod[0])
         return exps, mag
 
-    def _phased(self, ks: Sequence[int], exps, size: np.ndarray) -> np.ndarray:
+    def _phased(self, ks: Sequence[int], exps: np.ndarray, size: np.ndarray) -> np.ndarray:
         """The powers d_alpha r_alpha^k from the ks, the ks as floats (``exps``) and the moduli ``size``."""
         t = self.table
-        if self._turns is None:
-            # phases in units of 2 pi / order, snapped to integers at roots of unity
-            turns = np.arctan2(t.ratios.imag, t.ratios.real)[None] * (t.order / (2.0 * np.pi))
-            root = np.rint(turns)
-            self._exact = np.abs(turns - root) <= ROOT_TOL
-            self._turns = np.where(self._exact, root, turns)
-        # k mod order in integer arithmetic, as a column (a lone k as a Python int)
-        reduced = ks[0] % t.order if len(ks) == 1 else np.array([k % t.order for k in ks], dtype=float)[:, None]
+        # k mod order in integer arithmetic, as a column
+        reduced = np.array([k % t.order for k in ks], dtype=float)[:, None]
         # Integer turns take the reduced k, so roots of unity stay exact at
         # every k; so do powers that are 0, whose phase does not matter and
         # must not overflow.
@@ -265,7 +258,7 @@ class _PowerEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             exps, mag = self._magnitudes(ks)
             c = self._phased(ks, exps, self._dims * mag)
-        _finite(c.ravel().tolist())
+        _finite(c)
         return c
 
     def _pass(self, ks: Sequence[int], distance: bool, bounds: bool) -> list[list[float]]:
@@ -287,14 +280,14 @@ class _PowerEngine:
                     values = t.synth(self._phased(part, exps, size))
                     sums = [w * np.add.reduce(np.abs(v).reshape(len(part), -1), axis=1) for w, v in zip(t.weights, values)]
                     # added left to right, from the first sum rather than from 0.0: no extra array operation
-                    qtv += _finite((0.5 * sum(sums[1:], sums[0])).tolist())
+                    qtv += _finite(0.5 * sum(sums[1:], sums[0]))
                 if bounds:
-                    lower += _finite((0.5 * np.maximum.reduce(mag[:, t.lower], axis=1, initial=0.0)).tolist())
+                    lower += _finite(0.5 * np.maximum.reduce(mag[:, t.lower], axis=1, initial=0.0))
                     # each row is scaled by a power of two, so its squares neither underflow nor
                     # overflow; the 1/2 enters the exponent, so the result is rounded once
                     _, e = np.frexp(np.maximum.reduce(size, axis=1, keepdims=True, initial=0.0))
                     scaled = np.ldexp(size, -e)
-                    upper += _finite(np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), e[:, 0] - 1).tolist())
+                    upper += _finite(np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=1)), e[:, 0] - 1))
         return [qtv] * distance + [lower, upper] * bounds
 
     def qtv_many(self, ks: Sequence[int]) -> list[float]:

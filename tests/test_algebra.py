@@ -135,6 +135,16 @@ class TestPositivityFailures:
         failures = positivity_failures(np.ones(3), np.diag([1.0, -0.25]), 1e-9)
         assert failures == [("matrix not PSD", -0.25)]
 
+    def test_nan_fails_every_condition(self):
+        # a density that overflowed holds NaN, which every comparison with the tolerance must refuse
+        nan = np.array([[np.nan]])
+        assert [name for name, _ in positivity_failures(np.array([np.nan * 1j]), nan, 1e-9)] == [
+            "abelian coefficient not real",
+            "negative abelian coefficient",
+            "matrix not hermitian",
+        ]
+        assert positivity_failures(np.ones(1), np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)[0][0] == "matrix not hermitian"
+
     def test_tolerance_absorbs_small_violations(self):
         assert positivity_failures(np.array([-1e-10, 1e-10j]), np.diag([-1e-10, 1.0]), 1e-9) == []
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ def run_cli(args, capsys):
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
+    """The config ``doc``, or the JSON text ``doc`` as it stands, written to a file."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -233,6 +235,19 @@ class TestParseConfig:
                 None,
                 "$.coefficients[0]: sigma-:4 invalid for n=4",
             ),
+            ('{"group": "kpn", "n": 3, "n": 5, "coefficients": [["rho+:0", [1, 0]]]}', None, "$: duplicate key 'n'"),
+            (
+                '{"group": "kpn", "n": 3, "coefficients": [["rho+:0", [1, 0]]],'
+                ' "coefficients": [["rho+:0", [1, 0]], ["rho-:0", [1, 0]]]}',
+                None,
+                "$: duplicate key 'coefficients'",
+            ),
+            ('{"group": "kp", "k_max": 3, "coefficients": [["g1", [1, 0]]], "k_max": 5}', None, "$: duplicate key 'k_max'"),
+            (
+                '{"group": "kpn", "n": 3, "coefficients": [["rho+:0", {"eta_pow": 0, "eta_pow": 1}]]}',
+                None,
+                "$: duplicate key 'eta_pow'",
+            ),
         ],
         ids=[
             "bare-number",
@@ -246,6 +261,10 @@ class TestParseConfig:
             "unknown-kp-label",
             "rho-index",
             "sigma-index",
+            "duplicate-n",
+            "duplicate-coefficients",
+            "duplicate-k-max",
+            "duplicate-nested-eta-pow",
         ],
     )
     def test_config_error_message(self, doc, env, message, tmp_path, capsys, monkeypatch):
@@ -674,6 +693,29 @@ class TestNonFiniteValues:
         assert code == 2
         assert re.search(path, err) and "not a finite number" in err
         assert "nan" not in (out + err).lower()
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "labels, value",
+        [
+            ([f"rho+:{l}" for l in range(1, 5)], 1.7e308),
+            ([f"rho-:{l}" for l in range(5)], 1.7e308),
+            ([f"X:{u},1" for u in range(5)], 1.7e308),
+            (["rho+:1", "rho+:4"], 1.7e308),
+            (["rho+:1"], 1e308),
+        ],
+        ids=["rho+", "rho-", "X", "rho+-pair", "rho+-alone"],
+    )
+    def test_overflowing_density_is_not_a_state(self, tmp_path, capsys, command, labels, value):
+        # finite coefficients whose Fourier density overflows to inf and NaN: a NaN must fail
+        # the positivity checks, and no RuntimeWarning may reach stderr
+        doc = {**self.KPN, "coefficients": self.KPN["coefficients"] + [[label, [value, 0]] for label in labels]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["is_state"] is False
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestCutoff:

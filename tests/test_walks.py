@@ -470,6 +470,20 @@ class TestBatchedEngine:
         monkeypatch.setattr(walks, "CHUNK_VALUES", per_chunk * table.width)
         assert _bits(_PowerEngine(table).qtv_many(BATCH_KS)) == _bits(whole)
 
+    @pytest.mark.parametrize(
+        "table",
+        [kp8._kp_table(kp8.KPCoefficients(1.0, 0.1)), walks._kpn_table(CentralElement(3, {rho_plus(1): 0.1}))],
+        ids=["kp g2", "kpn one column"],
+    )
+    def test_k2_is_squared(self, table):
+        # numpy's array power of 2.0 can be an ulp off x*x, depending on the CPU and the width of
+        # the array: 0.1 may give 0.01 where np.square gives 0.010000000000000002, and the pinned
+        # k = 2 rows were squared
+        engine = _PowerEngine(table)
+        column = list(table.ratios).index(0.1)
+        for ks in ([2, 3], (2,)):
+            assert _bits([engine.powers(ks)[0, column]]) == _bits([complex(np.square(0.1))])
+
     def test_empty_batch(self):
         engine = _PowerEngine(BATCH_TABLES["kp"])
         assert engine.qtv_many([]) == [] and engine.bounds_many([]) == [] and engine.measure([]) == [[], [], []]
