@@ -34,6 +34,12 @@ EXIT_NUMERIC = 3
 
 CLAMP = 1e-15
 
+# ``run`` powers a walk only up to the step from which the Diaconis-Shahshahani bound
+# (``walks._PowerEngine.settled``) lies below SETTLED_FLOOR, and writes the later rows as
+# zeros.  The bound holds for the exact distances; the factor of 4 under CLAMP covers the
+# rounding of the computed ones, so every row written as zeros is one CLAMP would zero.
+SETTLED_FLOOR = CLAMP / 4
+
 # The ``idempotents`` projector verdict judges elements built exactly from their
 # specs, whose residual is rounding alone (at most 1.4e-14 for n <= 24), so it is
 # tighter than DEFAULT_TOL, which also absorbs the error of configured coefficients.
@@ -294,9 +300,12 @@ def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int
     if command == "classify":
         _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
         return EXIT_OK
-    ks = range(1, cfg.k_max + 1)
+    engine = wk._PowerEngine(table)
+    ks = range(1, min(engine.settled(SETTLED_FLOOR), cfg.k_max + 1))
+    rows = _csv("k,qtv,lower,upper", zip(ks, *_clamp(engine.measure(ks))))
+    zeros = "".join(f"\n{k},0.0,0.0,0.0" for k in range(len(ks) + 1, cfg.k_max + 1))  # the rows past the settle point
     path = out_path or cfg.output
-    _emit(_csv("k,qtv,lower,upper", zip(ks, *_clamp(wk._PowerEngine(table).measure(ks)))), path, stdout)
+    _emit(rows + zeros, path, stdout)
     _emit(json.dumps(meta, sort_keys=True), path and path + ".meta.json", stdout)
     return EXIT_OK
 

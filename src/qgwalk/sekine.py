@@ -334,6 +334,9 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     nonnegative and the matrix block positive semi-definite, as
     ``algebra.positivity_failures`` decides on ``fourier_density``'s abelian
     values and ``density_blocks`` (so "matrix not hermitian" measures the blocks).
+    A density whose check leaves the floating-point range (finite coefficients
+    near 1e308) fails once, as "Fourier density out of range", witnessed by
+    the label of the largest coefficient.
     """
     failures: list[tuple[str, object]] = [
         ("coefficient not finite", (str(l), complex(c))) for l, c in a.coeffs.items() if not cmath.isfinite(c)
@@ -346,6 +349,10 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     with np.errstate(over="ignore", invalid="ignore"):  # a density that overflows fails the checks, unwarned
         abelian, beta, s = fourier_density(a.n, _coeff_vector(a))
         found = positivity_failures(abelian, density_blocks(beta, s), tol)
+    if not all(cmath.isfinite(w[1] if isinstance(w, tuple) else w) for _, w in found):
+        # an overflowed value or deviation is no witness to print: name the largest coefficient
+        failures.append(("Fourier density out of range", str(max(a.coeffs, key=lambda l: abs(a.coeffs[l])))))
+        return StateReport(False, failures)
     for name, witness in found:
         if isinstance(witness, tuple):  # an abelian witness, whose (i, j) the FFT lists at [-j, -i]
             (q, p), value = witness

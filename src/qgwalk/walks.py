@@ -302,6 +302,25 @@ class _PowerEngine:
         """The columns qtv, lower and upper over the ks, from one power pass."""
         return self._pass(ks, True, True)
 
+    def settled(self, floor: float) -> float:
+        """A k from which qtv, lower and upper all stay below ``floor``, in closed form.
+
+        Diaconis-Shahshahani: qtv <= upper = 1/2 sqrt(sum d_alpha^2 |r_alpha|^(2k))
+        <= 1/2 sqrt(sum d_alpha^2) max|r_alpha|^k, and since every d_alpha >= 1,
+        lower <= 1/2 max|r_alpha|^k is below the same bound.  The k returned is
+        the first at which that bound falls under ``floor``, or the one after;
+        1 when no ratio is non-zero, and ``math.inf`` when a ratio lies on or
+        outside the circle, where nothing settles.
+        """
+        top = float(self._mod.max(initial=0.0))
+        if top >= 1.0:
+            return math.inf
+        if top == 0.0:
+            return 1
+        scale = 0.5 * math.sqrt(float(np.square(self._dims).sum()))
+        # the exact first k is floor(log(floor / scale) / log(top)) + 1; one more absorbs the rounding of the logs
+        return math.floor(math.log(floor / scale) / math.log(top)) + 2
+
 
 def convolution_power(a: CentralElement, k: int) -> CentralElement:
     """Coefficients of the k-th convolution power of a state."""

@@ -17,15 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qgwalk
-from qgwalk import dual, kp8, sekine, walks
+from qgwalk import cli, dual, kp8, sekine, walks
 from qgwalk.cli import (
     ConfigError,
     main,
     parse_config,
     tolerance_of,
 )
-from qgwalk.idempotents import ENUMERATION_CAP, build_idempotent, enumerate_central_idempotents
+from qgwalk.idempotents import ENUMERATION_CAP, AmbiguousBoundaryError, build_idempotent, enumerate_central_idempotents
 from conftest import random_central_state
+from test_walks import dual_states, kp_states, kpn_states
 
 
 def run_cli(args, capsys):
@@ -477,6 +478,74 @@ class TestRun:
         assert open(p1 + ".meta.json", "rb").read() == open(p2 + ".meta.json", "rb").read()
 
 
+def _state_config(group, state, k_max):
+    """The ``run`` config of a state drawn by one of test_walks' strategies."""
+    if group == "kp":
+        return cli.WalkConfig(group, None, dict(zip(cli.KP_SLOTS, state.as_tuple())), k_max)
+    return cli.WalkConfig(group, state.n, dict(state.coeffs), k_max)
+
+
+class TestSettledRows:
+    """``run`` powers a walk only before its settle point s and writes the rows from s on as zeros."""
+
+    @pytest.mark.parametrize(
+        "group, states", [("kpn", kpn_states()), ("kp", kp_states()), ("kpn-dual", dual_states())], ids=["kpn", "kp", "kpn-dual"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_past_the_settle_point_are_the_clamped_rows(self, group, states, data):
+        state = data.draw(states)
+        try:
+            cfg = _state_config(group, state, 1)
+            _, meta, table = cli._walk(cfg, cli.tolerance_of(cfg))
+        except AmbiguousBoundaryError:
+            return
+        engine = walks._PowerEngine(table)
+        s = engine.settled(cli.SETTLED_FLOOR)
+        if s == math.inf:
+            return
+        assert all(v < cli.CLAMP for column in engine.measure([*range(s, s + 40), 2 * s, 10 * s]) for v in column)
+        if s > 2000:  # a ratio just inside the circle: too many rows to write three times
+            return
+        for k_max in (s - 1, s, s + 1):
+            ks = range(1, k_max + 1)
+            clamped = cli._csv("k,qtv,lower,upper", zip(ks, *cli._clamp(engine.measure(ks))))  # every k powered
+            out = io.StringIO()
+            assert cli.cmd_walk("run", _state_config(group, state, k_max), None, out) == 0
+            assert out.getvalue() == f"{clamped}\n{json.dumps(meta, sort_keys=True)}\n", k_max
+
+    @staticmethod
+    def _asked(monkeypatch):
+        """The ks ``measure`` is asked for, as they come."""
+        asked = []
+        measure = walks._PowerEngine.measure
+        monkeypatch.setattr(walks._PowerEngine, "measure", lambda self, ks: asked.extend(ks) or measure(self, ks))
+        return asked
+
+    def test_no_k_from_the_settle_point_on_is_powered(self, tmp_path, capsys, monkeypatch):
+        cfg = parse_config(json.dumps(COSINE5))
+        s = walks._PowerEngine(walks._kpn_table(cfg.walk.element(cfg.n, cfg.by_label))).settled(cli.SETTLED_FLOOR)
+        asked = self._asked(monkeypatch)
+        code, out, _ = run_cli(["run", write_config(tmp_path, {**COSINE5, "k_max": 400})], capsys)
+        assert code == 0 and 1 < s <= 400
+        assert asked == list(range(1, s))
+        assert out.splitlines()[s:401] == [f"{k},0.0,0.0,0.0" for k in range(s, 401)]
+
+    def test_boundary_walk_is_powered_at_every_k(self, tmp_path, capsys, monkeypatch):
+        cfg = parse_config(json.dumps(PHI_P_6))
+        assert walks._PowerEngine(walks._kpn_table(cfg.walk.element(cfg.n, cfg.by_label))).settled(cli.SETTLED_FLOOR) == math.inf
+        asked = self._asked(monkeypatch)
+        code, out, _ = run_cli(["run", write_config(tmp_path, PHI_P_6)], capsys)
+        assert code == 0 and asked == list(range(1, 13))
+
+    def test_haar_state_powers_nothing(self, tmp_path, capsys, monkeypatch):
+        asked = self._asked(monkeypatch)
+        doc = {"group": "kpn", "n": 4, "k_max": 3, "coefficients": [["rho+:0", [1, 0]]]}
+        code, out, _ = run_cli(["run", write_config(tmp_path, doc)], capsys)
+        assert code == 0 and asked == []
+        assert out.splitlines()[:4] == ["k,qtv,lower,upper", "1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.0,0.0,0.0"]
+
+
 class TestDenseElementOffTheWalkPath:
     """The state check, the limit and the run read the Fourier density: no dense element is built."""
 
@@ -714,8 +783,9 @@ class TestNonFiniteValues:
             warnings.simplefilter("always")
             code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
         assert (code, out, err.count("\n")) == (2, "", 1)
-        assert json.loads(err)["is_state"] is False
+        assert json.loads(err)["failures"] == [["Fourier density out of range", repr(labels[0])]]
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert_exit_contract(command, doc)  # no witness is inf or nan
 
 
 class TestCutoff:
@@ -1028,7 +1098,8 @@ class TestExitContract:
         "command, doc",
         [
             ("classify", {"group": "kpn", "n": 10**6, "k_max": 3, "coefficients": [["rho+:0", [1, 0]]]}),
-            ("run", {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]]]}),
+            # e:1,0 keeps the walk from settling at k = 1, so run must synthesise its first steps
+            ("run", {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.5, 0]]]}),
         ],
         ids=["kpn", "kpn-dual"],
     )
@@ -1036,15 +1107,25 @@ class TestExitContract:
         # the n x n arrays (7.3 TiB for the state check, 14.6 TiB for the dual
         # synthesis) are refused under a 1 GiB address-space limit on every
         # host, so nothing large is ever touched
-        script = (
-            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from qgwalk.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        src = str(pathlib.Path(qgwalk.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, command, write_config(tmp_path, doc)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        proc = _run_in_1_gib(command, write_config(tmp_path, doc))
         assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_settled_walk_at_unallocatable_n_allocates_nothing(self, tmp_path):
+        # the dual Haar state has no non-zero ratio: it settles at k = 1, so run writes
+        # zero rows without the 14.6 TiB synthesis
+        doc = {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]]]}
+        proc = _run_in_1_gib("run", write_config(tmp_path, doc))
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.splitlines()[:4] == ["k,qtv,lower,upper", "1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.0,0.0,0.0"]
+
+
+def _run_in_1_gib(command, config):
+    """``qgwalk <command> <config>`` in a new interpreter whose address space is limited to 1 GiB."""
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qgwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(pathlib.Path(qgwalk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, command, config], capture_output=True, text=True, timeout=120, env=env)

@@ -509,6 +509,48 @@ class TestBatchedEngine:
         assert peak < 32 * 2**20, peak
 
 
+class TestSettled:
+    """``_PowerEngine.settled``: the first k at which the Diaconis-Shahshahani bound falls below a floor."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            walks._kpn_table(CentralElement(4, {trivial_label(): 1.0})),
+            kp8._kp_table(kp8.KPCoefficients()),
+            dual._dual_table(dual.DualCentralElement(3, {(0, 0): 1.0})),
+            walks._kpn_table(CentralElement(4, {trivial_label(): 1.0, rho_plus(1): 0.0})),
+        ],
+        ids=["kpn", "kp", "dual", "kpn zero ratio"],
+    )
+    def test_haar_state_settles_at_1(self, table):
+        assert _PowerEngine(table).settled(2.5e-16) == 1
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            walks._kpn_table(phi_p(6, 2)),  # eta_pow ratios, snapped onto the circle
+            walks._kpn_table(CentralElement(4, {trivial_label(): 1.0, rho_plus(1): 1.0 + 1e-13, rho_plus(2): 0.5})),
+            dual._dual_table(dual.DualCentralElement(3, {(0, 0): 1.0, (1, 0): 2.0})),  # outside the disc
+        ],
+        ids=["eta_pow", "within ROOT_TOL above 1", "dual above 1"],
+    )
+    def test_nothing_settles_on_or_outside_the_circle(self, table):
+        assert _PowerEngine(table).settled(2.5e-16) == math.inf
+
+    @pytest.mark.parametrize("floor", [2.5e-16, 1e-3, 1e-300])
+    @pytest.mark.parametrize("name", sorted(BATCH_TABLES))
+    def test_first_k_under_the_bound(self, name, floor):
+        # settled is the exact first k below the floor, or one past it
+        engine = _PowerEngine(BATCH_TABLES[name])
+        s = engine.settled(floor)
+        top = float(engine._mod.max())
+        if top >= 1.0:
+            assert s == math.inf
+            return
+        scale = 0.5 * math.sqrt(float(np.square(engine._dims).sum()))
+        assert scale * top**s < floor <= scale * top ** (s - 2)
+
+
 def _random_label_subset(n, rng):
     """A random subset of the labels of KP_n with random coefficients, a fifth of them 0, in random order."""
     labels = [l for l in irrep_labels(n) if l != trivial_label() and rng.random() < 0.6]
