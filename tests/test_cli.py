@@ -236,6 +236,22 @@ class TestParseConfig:
                 None,
                 "$.coefficients[0]: sigma-:4 invalid for n=4",
             ),
+            ({"group": "kpn", "n": 5, "coefficients": [["tau:1", [1, 0]]]}, None, "$.coefficients[0]: unknown label 'tau:1'"),
+            ({"group": "kpn", "n": 5, "coefficients": [["rho+", [1, 0]]]}, None, "$.coefficients[0]: unknown label 'rho+'"),
+            ({"group": "kpn", "n": 5, "coefficients": [["X:0,3", [1, 0]]]}, None, "$.coefficients[0]: X:0,3 invalid for n=5"),
+            (
+                {"group": "kpn", "n": 5, "coefficients": [["sigma+:7", [1, 0]]]},
+                None,
+                "$.coefficients[0]: sigma+:7 requires even n, got n=5",
+            ),
+            ({"group": "kpn-dual", "n": 3, "coefficients": [["e:1", [1, 0]]]}, None, "$.coefficients[0]: unknown label 'e:1'"),
+            ({"group": "kpn-dual", "n": 3, "coefficients": [["Xhat2", [1, 0]]]}, None, "$.coefficients[0]: unknown label 'Xhat2'"),
+            (
+                {"group": "kpn-dual", "n": 3, "coefficients": [["e:3,0", [1, 0]]]},
+                None,
+                "$.coefficients[0]: index 'e:3,0' outside Z_3 x Z_3",
+            ),
+            ({"group": "kp", "n": 2, "coefficients": [["g1", [1, 0]]]}, None, "$.n: not allowed for group kp"),
             ('{"group": "kpn", "n": 3, "n": 5, "coefficients": [["rho+:0", [1, 0]]]}', None, "$: duplicate key 'n'"),
             (
                 '{"group": "kpn", "n": 3, "coefficients": [["rho+:0", [1, 0]]],'
@@ -262,6 +278,14 @@ class TestParseConfig:
             "unknown-kp-label",
             "rho-index",
             "sigma-index",
+            "unknown-kpn-kind",
+            "kpn-no-index",
+            "x-sub",
+            "sigma-odd-n",
+            "dual-one-index",
+            "dual-unknown",
+            "dual-index",
+            "kp-n",
             "duplicate-n",
             "duplicate-coefficients",
             "duplicate-k-max",
@@ -318,6 +342,35 @@ class TestParseConfig:
         except ConfigError:
             return
         assert cfg.group in ("kp", "kpn", "kpn-dual")
+
+
+class TestLabelRoundTrip:
+    """Every label a group has parses back from the name it prints, and lands where the engine reads it."""
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_kpn_labels_reach_their_slots(self, n):
+        labels = sekine.irrep_labels(n)
+        coefficients = [[str(label), [float(pos + 1), 0]] for pos, label in enumerate(labels)]
+        cfg = parse_config({"group": "kpn", "n": n, "coefficients": coefficients})
+        assert list(cfg.by_label) == labels
+        a = sekine.CentralElement(n, cfg.by_label)
+        rp, rm, sp, sm, xv = sekine._split_coeffs(n, sekine._coeff_vector(a))
+        views = {sekine.RHO_PLUS: rp, sekine.RHO_MINUS: rm, sekine.SIGMA_PLUS: sp, sekine.SIGMA_MINUS: sm}
+        for pos, label in enumerate(labels):
+            value = xv[label.index, label.sub] if label.kind == sekine.X else views[label.kind][label.index]
+            assert value == pos + 1, label
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_dual_cells_and_xhat(self, n):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        coefficients = [[f"e:{i},{j}", [1, 0]] for i, j in cells] + [["Xhat", [1, 0]]]
+        cfg = parse_config({"group": "kpn-dual", "n": n, "coefficients": coefficients})
+        assert list(cfg.by_label) == [*cells, dual.XHAT]
+
+    def test_kp_names(self):
+        names = ["g1", *kp8._KP_KEYS]
+        cfg = parse_config({"group": "kp", "coefficients": [[name, [1, 0]] for name in names]})
+        assert list(cfg.by_label) == names
 
 
 class TestRun:

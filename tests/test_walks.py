@@ -800,6 +800,9 @@ class TestCutoff:
         (lambda: dual.DualCentralElement(3, {(1,): 1.0}), "key (1,) is not an (i, j) pair of integers or 'Xhat'"),
         (lambda: dual.DualCentralElement(3, {"e:1,0": 1.0}), "key 'e:1,0' is not an (i, j) pair of integers or 'Xhat'"),
         (lambda: check_label(4, IrrepLabel("tau", 0)), "unknown label kind 'tau'"),
+        (lambda: check_label(5, sigma_plus(7)), "sigma+:7 requires even n, got n=5"),
+        (lambda: check_label(4, IrrepLabel("rho+", 0, 1)), "rho+:0 invalid for n=4"),
+        (lambda: check_label(4, x_label(0, 0)), "X:0,0 invalid for n=4"),
         (lambda: validate_spec(HGammaSpec(frozenset({(0, 0), (5, 0)})), 4), "member (5, 0) outside Z_4 x Z_4"),
         (lambda: validate_spec(HGammaLSpec(2, 2), 4), "l=2 outside Z_2"),
         (lambda: validate_spec(HGammaLTauSpec(2, 3, 0, (1, 1)), 4), "need p > 1 and p*q = n, got p=2, q=3, n=4"),
@@ -820,6 +823,9 @@ class TestCutoff:
         "dual-key-short",
         "dual-key-text",
         "label-kind",
+        "sigma-odd-n",
+        "one-dim-sub",
+        "x-sub-zero",
         "gamma-member",
         "q-l",
         "p-q-n",
