@@ -45,8 +45,6 @@ SETTLED_FLOOR = CLAMP / 4
 # tighter than DEFAULT_TOL, which also absorbs the error of configured coefficients.
 IDEMPOTENT_VERDICT_TOL = 1e-10
 
-KP_SLOTS = ("g1", "g2", "g3", "g4", "gX")
-
 # At a tolerance of 1/AMBIGUITY_FACTOR or more, every ratio in the closed unit disc
 # lies within AMBIGUITY_FACTOR tol of the circle: it is on the circle or too close
 # to call (``walks.classify_walk``), so no walk could converge.  Such a tolerance exits 2.
@@ -64,9 +62,7 @@ class ConfigError(ValueError):
 class WalkConfig:
     group: str  # "kp" | "kpn" | "kpn-dual"
     n: int | None
-    # the coefficients keyed by their parsed labels: the slot name (kp),
-    # an IrrepLabel (kpn), an (i, j) pair or "Xhat" (kpn-dual)
-    by_label: dict
+    by_label: dict  # the coefficients by the keys their labels name (``walks.WalkGroup.key``)
     k_max: int = 50
     tolerance: float | None = None
     output: str | None = None
@@ -120,43 +116,6 @@ def _parse_complex(value, n: int | None, path: str) -> complex:
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
-def _parse_sekine_label(text: str, n: int, path: str) -> sk.IrrepLabel:
-    try:
-        if text.startswith("X:"):
-            u, v = (int(t) for t in text[2:].split(","))
-            label = sk.x_label(u, v)
-        else:
-            kind, _, idx = text.partition(":")
-            ctor = {
-                "rho+": sk.rho_plus,
-                "rho-": sk.rho_minus,
-                "sigma+": sk.sigma_plus,
-                "sigma-": sk.sigma_minus,
-            }[kind]
-            label = ctor(int(idx))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: unknown label {text!r}") from exc
-    try:
-        sk.check_label(n, label)
-    except sk.InvalidLabelError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return label
-
-
-def _parse_dual_label(text: str, n: int, path: str):
-    if text == "Xhat":
-        return "Xhat"
-    if text.startswith("e:"):
-        try:
-            i, j = (int(t) for t in text[2:].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unknown label {text!r}") from exc
-        if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"{path}: index {text!r} outside Z_{n} x Z_{n}")
-        return (i, j)
-    raise ConfigError(f"{path}: unknown label {text!r}")
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's members; a key given twice is refused, as a label given twice is."""
     doc: dict = {}
@@ -177,15 +136,15 @@ def parse_config(doc) -> WalkConfig:
     if not isinstance(doc, dict):
         raise ConfigError("$: config must be a JSON object")
     group = doc.get("group")
-    if group not in ("kp", "kpn", "kpn-dual"):
+    if group not in ("kp", "kpn", "kpn-dual"):  # a tuple, not WALK_GROUPS: an unhashable group is refused too
         raise ConfigError("$.group: must be one of kp, kpn, kpn-dual")
+    walk = WALK_GROUPS[group]
     n = doc.get("n")
-    if group == "kp":
+    if not walk.has_n:
         if n is not None:
-            raise ConfigError("$.n: not allowed for group kp")
-    else:
-        if not _is_number(n, int) or n < 2:
-            raise ConfigError("$.n: integer >= 2 required")
+            raise ConfigError(f"$.n: not allowed for group {group}")
+    elif not _is_number(n, int) or n < 2:
+        raise ConfigError("$.n: integer >= 2 required")
     coeffs_doc = doc.get("coefficients")
     if not isinstance(coeffs_doc, list):
         raise ConfigError("$.coefficients: list of [label, value] pairs required")
@@ -195,14 +154,10 @@ def parse_config(doc) -> WalkConfig:
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
             raise ConfigError(f"{path}: expected [label, value]")
         text, value = item
-        if group == "kp":
-            if text not in KP_SLOTS:
-                raise ConfigError(f"{path}: unknown label {text!r}")
-            label = text
-        elif group == "kpn":
-            label = _parse_sekine_label(text, n, path)
-        else:
-            label = _parse_dual_label(text, n, path)
+        try:
+            label = walk.key(text, n)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if label in by_label:  # also a variant spelling, such as "rho+: 1" of "rho+:1"
             raise ConfigError(f"{path}: duplicate label {text!r}")
         by_label[label] = _parse_complex(value, n, path)

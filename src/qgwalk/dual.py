@@ -22,7 +22,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
 )
-from .sekine import StateReport
+from .sekine import StateReport, _modulus
 from .sekine import fourier_profile  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
 from .walks import LimitClassification, WalkGroup, WalkTable, _PowerEngine, classify_walk
 
@@ -59,12 +59,25 @@ class DualCentralElement:
         return self.n if key == XHAT else 1
 
 
+def parse_key(text: str, n: int) -> DualKey:
+    """The key a config label names, checked for n: (i, j) from "e:i,j", or "Xhat"."""
+    if text == XHAT:
+        return XHAT
+    try:  # a text without the prefix gives no indices to unpack
+        i, j = (int(t) for t in text[2:].split(",")) if text.startswith("e:") else ()
+    except ValueError as exc:
+        raise ValueError(f"unknown label {text!r}") from exc
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"index {text!r} outside Z_{n} x Z_{n}")
+    return (i, j)
+
+
 def dual_validate_state(a: DualCentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     """States are exactly the finite, real nonnegative coefficient maps
     with unit coefficient at (0, 0)."""
     failures: list[tuple[str, object]] = []
     norm = a.coefficient((0, 0))
-    if abs(norm - 1.0) > tol:
+    if _modulus(norm - 1.0) > tol:
         failures.append(("normalization", norm))
     for key, c in sorted(a.coeffs.items(), key=str):
         c = complex(c)
@@ -208,6 +221,7 @@ def _dual_limit(a: DualCentralElement, ones: frozenset) -> tuple[str, EpsilonVec
 
 
 DUAL_WALK = WalkGroup(
+    key=parse_key,
     element=DualCentralElement,
     check=lambda a, tol: dual_validate_state(a, tol),
     table=lambda a: _dual_table(a),

@@ -24,7 +24,7 @@ from .algebra import (
     unit,
 )
 from .algebra import l1_norm  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
-from .sekine import StateReport
+from .sekine import StateReport, _modulus
 from .walks import AmbiguousBoundaryError, LimitClassification, WalkGroup, WalkTable, _PowerEngine, classify_walk
 
 KP_SHAPE = AlgebraShape.kac_paljutkin()
@@ -113,7 +113,7 @@ def kp_element(g: KPCoefficients) -> AlgebraElement:
 
 
 def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateReport:
-    """State conditions: g1 = 1, all coefficients finite and real, five inequalities."""
+    """State conditions: g1 = 1, all coefficients finite and real, five inequalities (one failure if out of range)."""
     failures: list[tuple[str, object]] = []
     g1, g2, g3, g4, gx = g.as_tuple()
     for name, val in (("g1", g1), ("g2", g2), ("g3", g3), ("g4", g4), ("gX", gx)):
@@ -121,7 +121,7 @@ def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateRepor
             failures.append(("coefficient not finite", (name, val)))
         elif abs(val.imag) > tol:
             failures.append(("coefficient not real", (name, val)))
-    if abs(g1 - 1.0) > tol:
+    if _modulus(g1 - 1.0) > tol:
         failures.append(("normalization", g1))
     checks = [
         ("1+g2+g3+g4+2gX", (1 + g2 + g3 + g4 + 2 * gx).real),
@@ -130,9 +130,10 @@ def kp_validate_state(g: KPCoefficients, tol: float = DEFAULT_TOL) -> StateRepor
         ("1-g2+g3-g4", (1 - g2 + g3 - g4).real),
         ("1-g2-g3+g4", (1 - g2 - g3 + g4).real),
     ]
-    for name, val in checks:
-        if val < -tol:
-            failures.append(("inequality violated", (name, val)))
+    if all(cmath.isfinite(val) for _, val in checks):
+        failures += [("inequality violated", (name, val)) for name, val in checks if val < -tol]
+    else:  # an overflowed value is no witness to print: name the coefficient of largest modulus
+        failures.append(("inequality out of range", max(_KP_KEYS, key=lambda key: _modulus(getattr(g, key)))))
     return StateReport(not failures, failures)
 
 
@@ -223,6 +224,13 @@ _KP_LIMITS = {
 }
 
 
+def _kp_key(text: str, n: None) -> str:
+    """A config label: g1 or a key of the engine's table."""
+    if text != "g1" and text not in _KP_KEYS:
+        raise ValueError(f"unknown label {text!r}")
+    return text
+
+
 def _kp_limit(g: KPCoefficients, ones: frozenset) -> tuple[str, int | None, str]:
     if ones not in _KP_LIMITS:
         raise AmbiguousBoundaryError(f"no idempotent state has the ratios {sorted(ones)} at 1")
@@ -232,6 +240,7 @@ def _kp_limit(g: KPCoefficients, ones: frozenset) -> tuple[str, int | None, str]
 
 
 KP_WALK = WalkGroup(
+    key=_kp_key,
     element=lambda n, coeffs: KPCoefficients(**{"g1": 0.0, **coeffs}),
     check=lambda g, tol: kp_validate_state(g, tol),
     table=lambda g: _kp_table(g),
@@ -240,6 +249,7 @@ KP_WALK = WalkGroup(
     describe=lambda index: {"index": index},
     meta=("outcome", "index", "period"),
     label=lambda key: "gX/2" if key == "gX" else key,  # gX is reported as its ratio gX/2
+    has_n=False,
 )
 
 

@@ -79,6 +79,20 @@ class IrrepLabel:
         return f"{self.kind}:{self.index}"
 
 
+def parse_label(text: str, n: int) -> IrrepLabel:
+    """The label ``text`` names, checked for n: the inverse of ``IrrepLabel.__str__``, each index read by ``int``."""
+    kind, _, rest = text.partition(":")
+    try:
+        indices = [int(t) for t in rest.split(",")]
+    except ValueError:
+        indices = []
+    if len(indices) != (2 if kind == X else 1) or kind not in (*_ONE_DIM_KINDS, X):
+        raise InvalidLabelError(f"unknown label {text!r}")
+    label = IrrepLabel(kind, *indices)
+    _slot(n, label)
+    return label
+
+
 def rho_plus(l: int) -> IrrepLabel:
     return IrrepLabel(RHO_PLUS, l)
 
@@ -113,20 +127,22 @@ def block_v_range(n: int) -> range:
     return range(0, n // 2 + 1)
 
 
-def check_label(n: int, label: IrrepLabel) -> None:
-    if label.kind in (RHO_PLUS, RHO_MINUS):
-        if not 0 <= label.index < n or label.sub != 0:
-            raise InvalidLabelError(f"{label} invalid for n={n}")
-    elif label.kind in (SIGMA_PLUS, SIGMA_MINUS):
-        if n % 2 != 0:
-            raise InvalidLabelError(f"{label} requires even n, got n={n}")
-        if not 0 <= label.index < n or label.sub != 0:
-            raise InvalidLabelError(f"{label} invalid for n={n}")
-    elif label.kind == X:
-        if not (0 <= label.index < n and label.sub in genuine_x_range(n)):
-            raise InvalidLabelError(f"{label} invalid for n={n}")
-    else:
+def _slot(n: int, label: IrrepLabel) -> int:
+    """The slot of ``label`` in the flat layout of ``_split_coeffs``: kind * n + l for rho+- and sigma+-, and
+    4n + u (n//2 + 1) + v for X(u, v).  InvalidLabelError if it names no irreducible of KP_n (sigma at odd n first)."""
+    if label.kind in (SIGMA_PLUS, SIGMA_MINUS) and n % 2 != 0:
+        raise InvalidLabelError(f"{label} requires even n, got n={n}")
+    if label.kind == X and 0 <= label.index < n and 1 <= label.sub <= (n - 1) // 2:  # v in genuine_x_range(n)
+        return 4 * n + label.index * (n // 2 + 1) + label.sub
+    if label.kind in _ONE_DIM_KINDS and 0 <= label.index < n and label.sub == 0:
+        return _ONE_DIM_KINDS.index(label.kind) * n + label.index
+    if label.kind != X and label.kind not in _ONE_DIM_KINDS:
         raise InvalidLabelError(f"unknown label kind {label.kind!r}")
+    raise InvalidLabelError(f"{label} invalid for n={n}")
+
+
+def check_label(n: int, label: IrrepLabel) -> None:
+    _slot(n, label)
 
 
 def irrep_labels(n: int) -> list[IrrepLabel]:
@@ -156,10 +172,10 @@ class CentralElement:
 
     n: int
     coeffs: dict[IrrepLabel, complex] = field(default_factory=dict)
+    _slots: np.ndarray = field(init=False, compare=False, repr=False)  # each label's slot (``_slot``), in order
 
     def __post_init__(self) -> None:
-        for label in self.coeffs:
-            check_label(self.n, label)
+        object.__setattr__(self, "_slots", np.array([_slot(self.n, label) for label in self.coeffs], dtype=int))
 
     def coefficient(self, label: IrrepLabel) -> complex:
         return complex(self.coeffs.get(label, 0.0))
@@ -171,17 +187,9 @@ class CentralElement:
         return all(abs(self.coefficient(a) - other.coefficient(a)) <= tol for a in labels)
 
 
-def _label_slots(n: int, labels) -> np.ndarray:
-    """Slots of ``labels`` in the flat layout of ``_split_coeffs``: kind * n + l for rho+, rho-, sigma+ and
-    sigma-, and 4n + u (n//2 + 1) + v for X(u, v)."""
-    offsets = {kind: i * n for i, kind in enumerate((*_ONE_DIM_KINDS, X))}
-    return np.array([offsets[l.kind] + l.index * (n // 2 + 1 if l.kind == X else 1) + l.sub for l in labels], dtype=int)
-
-
-def _slot_order(n: int, labels: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perm, slots, dims) of the non-trivial ``labels[perm]`` in sorted order: the X slots, from 4n on, then the
-    others, each in slot order, as "X" < "rho+" < "rho-" < "sigma+" < "sigma-", so no label is compared."""
-    slots = _label_slots(n, labels)
+def _slot_order(n: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perm, slots, dims) of the non-trivial ``slots[perm]`` in their labels' sorted order: the X slots, from 4n
+    on, then the others, each in slot order, as "X" < "rho+" < "rho-" < "sigma+" < "sigma-": no label is compared."""
     perm = np.lexsort((slots, slots < 4 * n))
     perm = perm[slots[perm] != 0]  # slot 0 is the trivial label
     return perm, slots[perm], np.where(slots[perm] >= 4 * n, 2.0, 1.0)  # X labels have dimension 2
@@ -206,8 +214,8 @@ def _place(n: int, slots, values: np.ndarray) -> np.ndarray:
 
 
 def _coeff_vector(a: CentralElement) -> np.ndarray:
-    """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent), placed by ``_label_slots``."""
-    return _place(a.n, _label_slots(a.n, a.coeffs), np.fromiter(a.coeffs.values(), np.complex128, len(a.coeffs)))
+    """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent), placed at the element's slots."""
+    return _place(a.n, a._slots, np.fromiter(a.coeffs.values(), np.complex128, len(a.coeffs)))
 
 
 def fourier_density(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,6 +334,14 @@ class NotAStateError(ValueError):
         self.report = report
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus of finite parts passes the float range: Python's abs raises there."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return cmath.inf
+
+
 def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     """Check that F(a) is a state.
 
@@ -344,14 +360,14 @@ def validate_state(a: CentralElement, tol: float = DEFAULT_TOL) -> StateReport:
     if failures:
         return StateReport(False, failures)
     norm = a.coefficient(trivial_label())
-    if abs(norm - 1.0) > tol:
+    if _modulus(norm - 1.0) > tol:
         failures.append(("normalization", norm))
     with np.errstate(over="ignore", invalid="ignore"):  # a density that overflows fails the checks, unwarned
         abelian, beta, s = fourier_density(a.n, _coeff_vector(a))
         found = positivity_failures(abelian, density_blocks(beta, s), tol)
     if not all(cmath.isfinite(w[1] if isinstance(w, tuple) else w) for _, w in found):
         # an overflowed value or deviation is no witness to print: name the largest coefficient
-        failures.append(("Fourier density out of range", str(max(a.coeffs, key=lambda l: abs(a.coeffs[l])))))
+        failures.append(("Fourier density out of range", str(max(a.coeffs, key=lambda l: _modulus(a.coeffs[l])))))
         return StateReport(False, failures)
     for name, witness in found:
         if isinstance(witness, tuple):  # an abelian witness, whose (i, j) the FFT lists at [-j, -i]
@@ -496,4 +512,5 @@ def profile_to_central(p: FourierProfile) -> CentralElement:
     genuine = p.blocks[nu][:, vs]
     xv[:, vs] = genuine[..., 0, 0] + genuine[..., 1, 1]
     labels = irrep_labels(n)
-    return CentralElement(n, {l: c for l, c in zip(labels, flat[_label_slots(n, labels)].tolist()) if abs(c) > COEFF_CUTOFF})
+    values = flat[[_slot(n, l) for l in labels]].tolist()
+    return CentralElement(n, {l: c for l, c in zip(labels, values) if abs(c) > COEFF_CUTOFF})

@@ -40,6 +40,7 @@ from .sekine import (
     _slot_order,
     density_blocks,
     fourier_density,
+    parse_label,
     rho_plus,
     trivial_label,
     validate_state,
@@ -121,11 +122,11 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
 
     The keys are the non-trivial labels in sorted order, which ``sekine._slot_order``
-    reads off their slots in the flat layout: no label is compared.  The table
-    itself is built by ``_flat_table`` from the slots alone.
+    reads off the element's slots in the flat layout: no label is compared.  The
+    table itself is built by ``_flat_table`` from the slots alone.
     """
     labels = list(a.coeffs)
-    perm, slots, dims = _slot_order(a.n, labels)
+    perm, slots, dims = _slot_order(a.n, a._slots)
     keys = list(map(labels.__getitem__, perm.tolist()))
     ratios = np.fromiter(a.coeffs.values(), np.complex128, len(labels))[perm] / dims
     return _flat_table(a.n, keys, slots, ratios, dims)
@@ -394,7 +395,8 @@ class WalkGroup(NamedTuple):
     and the period.
     """
 
-    element: Callable[[int | None, dict], object]  # the state, from n and the coefficients by label (absent: 0)
+    key: Callable[[str, int | None], object]  # the key a config label names, checked for n; ValueError if none
+    element: Callable[[int | None, dict], object]  # the state, from n and the coefficients by key (absent: 0)
     check: Callable[[object, float], StateReport]
     table: Callable[[object], WalkTable]
     limit: Callable[[object, frozenset], tuple[str, object, str]]  # (kind, limit, branch) from the keys at 1
@@ -405,6 +407,7 @@ class WalkGroup(NamedTuple):
     label: Callable[[object], str] = str  # the name the evidence prints for a key
     brief: bool = False
     null_period: bool = False  # the meta holds a diverging walk's period even when none is found
+    has_n: bool = True  # a config names the modulus n
 
 
 def classify_walk(group: WalkGroup, a, tol: float = DEFAULT_TOL, max_period: int | None = None) -> LimitClassification:
@@ -468,6 +471,7 @@ def _kpn_notes(a: CentralElement) -> list[str]:
 
 
 KPN_WALK = WalkGroup(
+    key=parse_label,
     element=CentralElement,
     check=lambda a, tol: validate_state(a, tol),
     table=lambda a: _kpn_table(a),

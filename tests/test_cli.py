@@ -534,7 +534,7 @@ class TestRun:
 def _state_config(group, state, k_max):
     """The ``run`` config of a state drawn by one of test_walks' strategies."""
     if group == "kp":
-        return cli.WalkConfig(group, None, dict(zip(cli.KP_SLOTS, state.as_tuple())), k_max)
+        return cli.WalkConfig(group, None, dict(zip(("g1", *kp8._KP_KEYS), state.as_tuple())), k_max)
     return cli.WalkConfig(group, state.n, dict(state.coeffs), k_max)
 
 
@@ -820,18 +820,20 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize(
         "labels, value",
         [
-            ([f"rho+:{l}" for l in range(1, 5)], 1.7e308),
-            ([f"rho-:{l}" for l in range(5)], 1.7e308),
-            ([f"X:{u},1" for u in range(5)], 1.7e308),
-            (["rho+:1", "rho+:4"], 1.7e308),
-            (["rho+:1"], 1e308),
+            ([f"rho+:{l}" for l in range(1, 5)], [1.7e308, 0]),
+            ([f"rho-:{l}" for l in range(5)], [1.7e308, 0]),
+            ([f"X:{u},1" for u in range(5)], [1.7e308, 0]),
+            (["rho+:1", "rho+:4"], [1.7e308, 0]),
+            (["rho+:1"], [1e308, 0]),
+            (["rho+:1"], [1.7e308, 1.7e308]),
         ],
-        ids=["rho+", "rho-", "X", "rho+-pair", "rho+-alone"],
+        ids=["rho+", "rho-", "X", "rho+-pair", "rho+-alone", "complex-modulus"],
     )
     def test_overflowing_density_is_not_a_state(self, tmp_path, capsys, command, labels, value):
         # finite coefficients whose Fourier density overflows to inf and NaN: a NaN must fail
-        # the positivity checks, and no RuntimeWarning may reach stderr
-        doc = {**self.KPN, "coefficients": self.KPN["coefficients"] + [[label, [value, 0]] for label in labels]}
+        # the positivity checks, and no RuntimeWarning may reach stderr; the largest coefficient
+        # is named even when its modulus passes the float range
+        doc = {**self.KPN, "coefficients": self.KPN["coefficients"] + [[label, value] for label in labels]}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
@@ -839,6 +841,45 @@ class TestNonFiniteValues:
         assert json.loads(err)["failures"] == [["Fourier density out of range", repr(labels[0])]]
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert_exit_contract(command, doc)  # no witness is inf or nan
+
+    HUGE = [1.7e308, 1.7e308]  # finite parts whose modulus passes the float range
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize(
+        "doc, failures",
+        [
+            (
+                {"group": "kpn", "n": 5, "coefficients": [["rho+:0", HUGE]]},
+                [["normalization", "(1.7e+308+1.7e+308j)"], ["Fourier density out of range", "'rho+:0'"]],
+            ),
+            (
+                {"group": "kp", "coefficients": [["g1", HUGE]]},
+                [["coefficient not real", "('g1', (1.7e+308+1.7e+308j))"], ["normalization", "(1.7e+308+1.7e+308j)"]],
+            ),
+            (
+                {"group": "kpn-dual", "n": 3, "coefficients": [["e:0,0", HUGE]]},
+                [["normalization", "(1.7e+308+1.7e+308j)"], ["coefficient not real", "((0, 0), (1.7e+308+1.7e+308j))"]],
+            ),
+            (
+                {"group": "kp", "coefficients": [["g1", [1, 0]], ["g2", [1.7e308, 0]], ["g3", [1.7e308, 0]]]},
+                [["inequality out of range", "'g2'"]],
+            ),
+            (
+                {"group": "kp", "coefficients": [["g1", [1, 0]], ["gX", HUGE]]},
+                [["coefficient not real", "('gX', (1.7e+308+1.7e+308j))"], ["inequality out of range", "'gX'"]],
+            ),
+        ],
+        ids=["kpn-normalization", "kp-normalization", "dual-normalization", "kp-inequality", "kp-inequality-complex"],
+    )
+    def test_overflowing_modulus_or_inequality_is_not_a_state(self, tmp_path, capsys, command, doc, failures):
+        # a modulus past the float range is no numeric failure, and no inequality prints -inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli([command, write_config(tmp_path, doc)], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err) == {"is_state": False, "failures": failures}
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert_exit_contract(command, doc)
 
 
 class TestCutoff:
