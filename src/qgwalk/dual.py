@@ -13,7 +13,9 @@ expression through the Fourier profile of the walk element.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
 )
-from .sekine import StateReport, _modulus
+from .sekine import StateReport, _modulus, _zeros
 from .sekine import fourier_profile  # noqa: F401 -- kept bound here: perfbench's tracer test patches this binding
 from .walks import LimitClassification, WalkGroup, WalkTable, _PowerEngine, classify_walk
 
@@ -36,11 +38,11 @@ class DualCentralElement:
     """Character coefficients of an element of the dual algebra.
 
     Keys are (i, j) pairs for the coordinate characters and "Xhat" for
-    the n-dimensional one; absent keys carry coefficient zero.
+    the n-dimensional one; absent keys carry coefficient zero.  ``coeffs`` is a read-only copy.
     """
 
     n: int
-    coeffs: dict[DualKey, complex] = field(default_factory=dict)
+    coeffs: Mapping[DualKey, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for key in self.coeffs:
@@ -48,15 +50,12 @@ class DualCentralElement:
                 continue
             if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, (int, np.integer)) for x in key)):
                 raise ValueError(f"key {key!r} is not an (i, j) pair of integers or 'Xhat'")
-            i, j = key
-            if not (0 <= i < self.n and 0 <= j < self.n):
+            if not (0 <= key[0] < self.n and 0 <= key[1] < self.n):
                 raise ValueError(f"key {key} outside Z_{self.n} x Z_{self.n}")
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def coefficient(self, key: DualKey) -> complex:
         return complex(self.coeffs.get(key, 0.0))
-
-    def dimension(self, key: DualKey) -> int:
-        return self.n if key == XHAT else 1
 
 
 def parse_key(text: str, n: int) -> DualKey:
@@ -123,7 +122,7 @@ def _dual_table(a: DualCentralElement) -> WalkTable:
     ratios = np.array([a.coefficient(key) for key in keys], dtype=np.complex128) / dims
 
     def synth(c):
-        grid = np.zeros((len(c), n * n), dtype=np.complex128)
+        grid = _zeros((len(c), n * n))
         grid[:, cells] = c[:, :-1]
         plus = np.fft.fft2(grid.reshape(-1, n, n)).reshape(len(c), -1)
         minus = plus.copy()

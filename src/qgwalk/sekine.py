@@ -21,8 +21,10 @@ wrapped mod n, i.e. 0-based row r and column (r + l) % n; the sign
 from __future__ import annotations
 
 import cmath
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,11 +124,6 @@ def genuine_x_range(n: int) -> range:
     return range(1, (n - 1) // 2 + 1)
 
 
-def block_v_range(n: int) -> range:
-    """Values of v indexing the stored 2x2 blocks, composites included."""
-    return range(0, n // 2 + 1)
-
-
 def _slot(n: int, label: IrrepLabel) -> int:
     """The slot of ``label`` in the flat layout of ``_split_coeffs``: kind * n + l for rho+- and sigma+-, and
     4n + u (n//2 + 1) + v for X(u, v).  InvalidLabelError if it names no irreducible of KP_n (sigma at odd n first)."""
@@ -139,10 +136,6 @@ def _slot(n: int, label: IrrepLabel) -> int:
     if label.kind != X and label.kind not in _ONE_DIM_KINDS:
         raise InvalidLabelError(f"unknown label kind {label.kind!r}")
     raise InvalidLabelError(f"{label} invalid for n={n}")
-
-
-def check_label(n: int, label: IrrepLabel) -> None:
-    _slot(n, label)
 
 
 def irrep_labels(n: int) -> list[IrrepLabel]:
@@ -167,15 +160,18 @@ def _tables(n: int):
 class CentralElement:
     """Linear combination a = sum_alpha a_alpha chi_alpha of characters.
 
-    Absent labels carry coefficient zero.
+    Absent labels carry coefficient zero.  ``coeffs`` is a read-only copy of the map given.
     """
 
     n: int
-    coeffs: dict[IrrepLabel, complex] = field(default_factory=dict)
+    coeffs: Mapping[IrrepLabel, complex] = field(default_factory=dict)
     _slots: np.ndarray = field(init=False, compare=False, repr=False)  # each label's slot (``_slot``), in order
+    _values: np.ndarray = field(init=False, compare=False, repr=False)  # each label's coefficient, in order
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
         object.__setattr__(self, "_slots", np.array([_slot(self.n, label) for label in self.coeffs], dtype=int))
+        object.__setattr__(self, "_values", np.fromiter(self.coeffs.values(), np.complex128, len(self.coeffs)))
 
     def coefficient(self, label: IrrepLabel) -> complex:
         return complex(self.coeffs.get(label, 0.0))
@@ -206,16 +202,24 @@ def _split_coeffs(n: int, flat: np.ndarray):
     return (*np.moveaxis(bands, -2, 0), flat[..., 4 * n :].reshape(*lead, n, n // 2 + 1))
 
 
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Complex zeros of ``shape``; a size past numpy's limit raises MemoryError, as one it cannot allocate does."""
+    try:
+        return np.zeros(shape, dtype=np.complex128)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", "array is too big"
+        raise MemoryError(str(exc)) from None
+
+
 def _place(n: int, slots, values: np.ndarray) -> np.ndarray:
     """``values`` at ``slots`` of the flat layout of ``_split_coeffs``, zeros elsewhere: one flat vector per row."""
-    flat = np.zeros((*values.shape[:-1], 4 * n + n * (n // 2 + 1)), dtype=np.complex128)
+    flat = _zeros((*values.shape[:-1], 4 * n + n * (n // 2 + 1)))
     flat[..., slots] = values
     return flat
 
 
 def _coeff_vector(a: CentralElement) -> np.ndarray:
     """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent), placed at the element's slots."""
-    return _place(a.n, a._slots, np.fromiter(a.coeffs.values(), np.complex128, len(a.coeffs)))
+    return _place(a.n, a._slots, a._values)
 
 
 def fourier_density(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,7 +392,7 @@ def fourier_block(a: CentralElement, u: int, v: int) -> np.ndarray:
     n = a.n
     if not 0 <= u < n:
         raise InvalidLabelError(f"u={u} out of range for n={n}")
-    if v not in block_v_range(n):
+    if not 0 <= v <= n // 2:  # the stored blocks, composites included
         raise InvalidLabelError(f"v={v} out of range for n={n}")
     return central_profile(a).blocks[u, v]
 
@@ -405,9 +409,6 @@ class FourierProfile:
 
     n: int
     blocks: np.ndarray
-
-    def block(self, u: int, v: int) -> np.ndarray:
-        return self.blocks[u, v]
 
     @property
     def scalars(self) -> dict[IrrepLabel, complex]:

@@ -128,8 +128,7 @@ def _kpn_table(a: CentralElement) -> WalkTable:
     labels = list(a.coeffs)
     perm, slots, dims = _slot_order(a.n, a._slots)
     keys = list(map(labels.__getitem__, perm.tolist()))
-    ratios = np.fromiter(a.coeffs.values(), np.complex128, len(labels))[perm] / dims
-    return _flat_table(a.n, keys, slots, ratios, dims)
+    return _flat_table(a.n, keys, slots, a._values[perm] / dims, dims)
 
 
 def _flat_table(n: int, keys: Sequence, slots: np.ndarray, ratios: np.ndarray, dims: np.ndarray) -> WalkTable:
@@ -505,15 +504,15 @@ def classify_limit(
     return classify_walk(KPN_WALK, a, tol, max_period)
 
 
-def _cosines(n: int) -> list[float]:
+def _cosines(n: int) -> np.ndarray:
     """cos(2 pi l / n) for l = 0..n-1, the coefficients of the cosine walk; odd n >= 3 only.
 
     For even n the coefficient at l = n/2 would be -1 and the walk
-    would not converge to the Haar state, so even n is rejected.
+    would not converge to the Haar state, so even n is rejected.  An n too large for memory is refused at once.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("the cosine walk requires odd n >= 3")
-    return [math.cos(2.0 * math.pi * l / n) for l in range(n)]
+    return np.fromiter((math.cos(2.0 * math.pi * l / n) for l in range(n)), np.float64, count=n)
 
 
 def cutoff_state(n: int) -> CentralElement:
@@ -537,7 +536,7 @@ def cutoff_table(n: int) -> WalkTable:
     built.  The keys name no label, so the table is for powering only
     (``cutoff``); ``classify_walk`` needs the labels of ``_kpn_table``.
     """
-    ratios = np.array(_cosines(n)[1:], dtype=np.complex128)
+    ratios = _cosines(n)[1:].astype(np.complex128)
     return _flat_table(n, range(1, n), np.arange(1, n), ratios, np.ones(n - 1))
 
 

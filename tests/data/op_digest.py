@@ -15,9 +15,10 @@ wrote: the CSV or JSON output, the ``.meta.json`` of a ``run``, the
 ``cutoff.csv`` of a ``cutoff``.  An op that raises instead of exiting records
 the exception's type and message, not its traceback, whose paths name the
 checkout.  Two digests are equal exactly when every op behaved byte for byte
-alike.  qgwalk is imported from ``PYTHONPATH``; the workloads are read from the
-``perfbench/`` of the checkout that holds this script, and nothing in it is
-written.
+alike.  ``op_digest_seed1.jsonl`` beside this script is the digest of seed 1
+that ``tests/test_cli.py::TestByteParity`` compares against.  qgwalk is
+imported from ``PYTHONPATH``; the workloads are read from the ``perfbench/``
+of the checkout that holds this script, and nothing in it is written.
 """
 
 from __future__ import annotations
@@ -67,17 +68,23 @@ def digest_op(op: workloads.Op, workdir: Path) -> dict:
     return line
 
 
+def digests(seed: int):
+    """The digest line of every op for ``seed``, in the order the benchmark runs them."""
+    with tempfile.TemporaryDirectory(prefix="qgwalk-op-digest-") as tmp:
+        workdir = Path(tmp).resolve()
+        for name, make in workloads.WORKLOADS.items():
+            (workdir / name).mkdir()
+            for op in make(seed, str(workdir / name)).ops:
+                yield json.dumps(digest_op(op, workdir))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     print(f"qgwalk from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
-    with tempfile.TemporaryDirectory(prefix="qgwalk-op-digest-") as tmp:
-        workdir = Path(tmp).resolve()
-        for name, make in workloads.WORKLOADS.items():
-            (workdir / name).mkdir()
-            for op in make(args.seed, str(workdir / name)).ops:
-                print(json.dumps(digest_op(op, workdir)), flush=True)
+    for line in digests(args.seed):
+        print(line, flush=True)
     return 0
 
 

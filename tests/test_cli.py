@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -1189,37 +1190,69 @@ class TestExitContract:
         assert err.startswith(f"config error: {target}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
-        "command, doc",
+        "argv",
         [
-            ("classify", {"group": "kpn", "n": 10**6, "k_max": 3, "coefficients": [["rho+:0", [1, 0]]]}),
+            ["classify", {"group": "kpn", "n": 10**6, "k_max": 3, "coefficients": [["rho+:0", [1, 0]]]}],
             # e:1,0 keeps the walk from settling at k = 1, so run must synthesise its first steps
-            ("run", {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.5, 0]]]}),
+            ["run", {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.5, 0]]]}],
+            # past numpy's size limit: np.zeros raises ValueError, not MemoryError
+            ["classify", {"group": "kpn", "n": 10**10, "k_max": 3, "coefficients": [["rho+:0", [1, 0]], ["rho+:1", [0.5, 0]]]}],
+            ["run", {"group": "kpn", "n": 10**10, "k_max": 3, "coefficients": [["rho+:0", [1, 0]], ["rho+:1", [0.5, 0]]]}],
+            ["run", {"group": "kpn-dual", "n": 10**9, "k_max": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.5, 0]]]}],
+            ["run", {"group": "kpn-dual", "n": 10**10, "k_max": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.5, 0]]]}],
+            # 745 GiB of cosines, refused before any is computed
+            ["cutoff", "--n", "99999999999", "--c", "0"],
         ],
-        ids=["kpn", "kpn-dual"],
+        ids=["kpn", "kpn-dual", "kpn-1e10-classify", "kpn-1e10-run", "kpn-dual-1e9", "kpn-dual-1e10", "cutoff"],
     )
-    def test_unallocatable_n_exits_3(self, command, doc, tmp_path):
-        # the n x n arrays (7.3 TiB for the state check, 14.6 TiB for the dual
+    def test_unallocatable_n_exits_3(self, argv, tmp_path):
+        # the arrays (7.3 TiB for the n = 10^6 state check, 14.6 TiB for the dual
         # synthesis) are refused under a 1 GiB address-space limit on every
-        # host, so nothing large is ever touched
-        proc = _run_in_1_gib(command, write_config(tmp_path, doc))
+        # host, so nothing large is ever touched; a dict stands for its config file
+        proc = _run_in_1_gib([write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv])
         assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.strip() != "numeric failure:", "the failure names no reason"
 
     def test_settled_walk_at_unallocatable_n_allocates_nothing(self, tmp_path):
         # the dual Haar state has no non-zero ratio: it settles at k = 1, so run writes
         # zero rows without the 14.6 TiB synthesis
         doc = {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]]]}
-        proc = _run_in_1_gib("run", write_config(tmp_path, doc))
+        proc = _run_in_1_gib(["run", write_config(tmp_path, doc)])
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert proc.stdout.splitlines()[:4] == ["k,qtv,lower,upper", "1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.0,0.0,0.0"]
 
 
-def _run_in_1_gib(command, config):
-    """``qgwalk <command> <config>`` in a new interpreter whose address space is limited to 1 GiB."""
+def _run_in_1_gib(argv):
+    """``qgwalk <argv>`` in a new interpreter whose address space is limited to 1 GiB."""
     script = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
         "from qgwalk.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     src = str(pathlib.Path(qgwalk.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script, command, config], capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120, env=env)
+
+
+class TestByteParity:
+    def test_every_benchmark_op_matches_the_pinned_digest(self, monkeypatch):
+        """Every op of the benchmark workloads (seed 1) prints and writes the bytes pinned in ``op_digest_seed1.jsonl``.
+
+        The digest hashes each op's exit code, stdout, stderr and output files
+        (``tests/data/op_digest.py``); ``perfbench/`` is only read.  After a change
+        meant to move output bytes, re-pin with
+
+            PYTHONPATH=src python3 tests/data/op_digest.py --seed 1 > tests/data/op_digest_seed1.jsonl
+
+        and name the re-pin and the outputs it moves in a CHANGES.md line.
+        """
+        monkeypatch.delenv("QGWALK_TOL", raising=False)
+        data = pathlib.Path(__file__).parent / "data"
+        spec = importlib.util.spec_from_file_location("op_digest", data / "op_digest.py")
+        op_digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(op_digest)
+        pinned = (data / "op_digest_seed1.jsonl").read_text().splitlines()
+        fresh = list(op_digest.digests(1))
+        for want, got in zip(pinned, fresh):
+            assert got == want, f"op {json.loads(want)['op']} differs from its pinned digest"
+        assert len(fresh) == len(pinned)

@@ -116,7 +116,7 @@ def profile_qtv(a, k):
     unit density is the distance.
     """
     n = a.n
-    powered = {key: complex(c) ** k / a.dimension(key) ** (k - 1) for key, c in a.coeffs.items()}
+    powered = {key: complex(c) ** k / (n if key == XHAT else 1) ** (k - 1) for key, c in a.coeffs.items()}
     prof = fourier_profile(dual_to_primal(DualCentralElement(n, powered)))
     scale = 2.0 * n * n
     total = sum(abs(scale * val - 1.0) for val in prof.scalars.values())

@@ -218,12 +218,12 @@ class TestIdempotentProfile:
 
     def test_q2_l0_block(self):
         n = 6
-        b = idempotent_profile(HGammaLSpec(2, 0), n).block(0, n // 2)
+        b = idempotent_profile(HGammaLSpec(2, 0), n).blocks[0, n // 2]
         assert np.allclose(b, 0.5 * np.ones((2, 2)))
 
     def test_q2_l1_block(self):
         n = 6
-        b = idempotent_profile(HGammaLSpec(2, 1), n).block(0, n // 2)
+        b = idempotent_profile(HGammaLSpec(2, 1), n).blocks[0, n // 2]
         assert np.allclose(b, 0.5 * np.array([[1, -1], [-1, 1]]))
 
     def test_tau_blocks_vanish_off_lattice(self):
@@ -233,7 +233,7 @@ class TestIdempotentProfile:
         for u in range(n):
             for v in range(n // 2 + 1):
                 if u % 2 != 0:
-                    assert np.allclose(prof.block(u, v), 0.0)
+                    assert np.allclose(prof.blocks[u, v], 0.0)
 
 
 class TestCentrality:

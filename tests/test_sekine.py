@@ -263,7 +263,7 @@ class TestFourierProfile:
         p = fourier_profile(x)
         for v in (1, 2):
             for u in range(n):
-                assert np.allclose(p.block(u, v), np.eye(2), atol=1e-12)
+                assert np.allclose(p.blocks[u, v], np.eye(2), atol=1e-12)
 
     def test_profile_round_trip(self, rng):
         for n in (3, 4, 6):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -28,8 +29,8 @@ from qgwalk.idempotents import (
 from qgwalk.sekine import (
     CentralElement,
     IrrepLabel,
+    _slot,
     central_profile,
-    check_label,
     central_to_element,
     convolve,
     element_to_central,
@@ -51,6 +52,7 @@ from qgwalk.walks import (
     NotAStateError,
     _PowerEngine,
     classify_limit,
+    classify_walk,
     convolution_power,
     cutoff_bounds,
     cutoff_state,
@@ -585,6 +587,58 @@ class TestKpnTableOrder:
         assert drawn == {(p, kind, zero) for p, ks in kinds.items() for kind in ks for zero in (False, True)}
 
 
+# (group, n, a state's coefficients, (key, value) changes that reach no built element, a key outside the group)
+FIXED_CASES = {
+    "kpn": (walks.KPN_WALK, 5, {rho_plus(l): math.cos(2 * math.pi * l / 5) for l in range(5)},
+            [(rho_plus(1), 5.0), (x_label(0, 1), 0.3)], rho_plus(7)),
+    "kpn-dual": (dual.DUAL_WALK, 3, {(0, 0): 1.0, (1, 0): 0.5, dual.XHAT: 1.0},
+                 [((1, 0), 2.0), ((2, 2), 0.25), ((5, 7), 0.5)], (5, 7)),
+}
+
+
+@pytest.mark.parametrize("case", FIXED_CASES.values(), ids=FIXED_CASES.keys())
+class TestStateFixedWhenBuilt:
+    """A built state keeps its coefficients: nothing done to a dict afterwards reaches it."""
+
+    def test_coeffs_refuse_assignment(self, case):
+        group, n, coeffs, changes, outside = case
+        a = group.element(n, dict(coeffs))
+        for key, value in [*changes, (outside, 0.5)]:
+            with pytest.raises(TypeError):
+                a.coeffs[key] = value
+        assert a.coeffs == coeffs
+
+    def test_the_given_dict_does_not_reach_the_state(self, case):
+        group, n, coeffs, changes, _ = case
+        given = dict(coeffs)
+        a = group.element(n, given)
+
+        def readings():
+            c = classify_walk(group, a)
+            return dict(a.coeffs), group.check(a, algebra.DEFAULT_TOL), c, _PowerEngine(c.table).measure(range(1, 6))
+
+        before = readings()
+        given.update(changes)
+        assert readings() == before and a.coeffs == coeffs
+
+    def test_replace_checks_and_copies_the_new_coefficients(self, case):
+        group, n, coeffs, changes, outside = case
+        a = group.element(n, coeffs)
+        with pytest.raises(ValueError, match="outside|invalid"):
+            dataclasses.replace(a, coeffs={**coeffs, outside: 0.5})
+        given = dict(coeffs)
+        b = dataclasses.replace(a, coeffs=given)
+        given.update(changes)
+        assert b == a and b.coeffs == coeffs
+        with pytest.raises(TypeError):
+            b.coeffs[outside] = 0.5
+
+    def test_equal_states_compare_equal(self, case):
+        group, n, coeffs, changes, _ = case
+        assert group.element(n, coeffs) == group.element(n, dict(reversed(coeffs.items())))
+        assert group.element(n, coeffs) != group.element(n, {**coeffs, changes[0][0]: changes[0][1]})
+
+
 class TestBounds:
     def test_unit_bounds_zero(self):
         a = CentralElement(5, {trivial_label(): 1.0})
@@ -799,10 +853,10 @@ class TestCutoff:
         ),
         (lambda: dual.DualCentralElement(3, {(1,): 1.0}), "key (1,) is not an (i, j) pair of integers or 'Xhat'"),
         (lambda: dual.DualCentralElement(3, {"e:1,0": 1.0}), "key 'e:1,0' is not an (i, j) pair of integers or 'Xhat'"),
-        (lambda: check_label(4, IrrepLabel("tau", 0)), "unknown label kind 'tau'"),
-        (lambda: check_label(5, sigma_plus(7)), "sigma+:7 requires even n, got n=5"),
-        (lambda: check_label(4, IrrepLabel("rho+", 0, 1)), "rho+:0 invalid for n=4"),
-        (lambda: check_label(4, x_label(0, 0)), "X:0,0 invalid for n=4"),
+        (lambda: _slot(4, IrrepLabel("tau", 0)), "unknown label kind 'tau'"),
+        (lambda: _slot(5, sigma_plus(7)), "sigma+:7 requires even n, got n=5"),
+        (lambda: _slot(4, IrrepLabel("rho+", 0, 1)), "rho+:0 invalid for n=4"),
+        (lambda: _slot(4, x_label(0, 0)), "X:0,0 invalid for n=4"),
         (lambda: validate_spec(HGammaSpec(frozenset({(0, 0), (5, 0)})), 4), "member (5, 0) outside Z_4 x Z_4"),
         (lambda: validate_spec(HGammaLSpec(2, 2), 4), "l=2 outside Z_2"),
         (lambda: validate_spec(HGammaLTauSpec(2, 3, 0, (1, 1)), 4), "need p > 1 and p*q = n, got p=2, q=3, n=4"),
