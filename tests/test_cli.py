@@ -756,6 +756,40 @@ class TestBoundaryPolicy:
             assert parsed["outcome"] == "diverges" and parsed["period"] == period
 
 
+# each numeric failure that needs no memory limit, with the whole line it prints
+_CLOSE = "ratio modulus 0.999999995 is too close to the circle"
+EXIT_3_LINES = {
+    "kpn": (
+        {"group": "kpn", "n": 5, "coefficients": [["rho+:0", [1, 0]], ["rho-:0", [0.999999995, 0]]]},
+        f"numeric failure: rho-:0: {_CLOSE}\n",
+    ),
+    "kp": (
+        {"group": "kp", "coefficients": [["g1", [1, 0]], ["g4", [0.999999995, 0]]]},
+        f"numeric failure: g4: {_CLOSE}\n",
+    ),
+    "kpn-dual": (
+        {"group": "kpn-dual", "n": 3, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [0.999999995, 0]]]},
+        f"numeric failure: (1, 0): {_CLOSE}\n",
+    ),
+}
+
+
+class TestExitThreeLines:
+    """Every exit-3 path that needs no memory limit prints one whole, pinned stderr line and no stdout."""
+
+    @pytest.mark.parametrize("command", ["classify", "run"])
+    @pytest.mark.parametrize("group", sorted(EXIT_3_LINES))
+    def test_ratio_too_close_to_the_circle(self, group, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QGWALK_TOL", raising=False)
+        doc, line = EXIT_3_LINES[group]
+        assert run_cli([command, write_config(tmp_path, doc)], capsys) == (3, "", line)
+
+    def test_dual_powers_past_the_float_range(self, tmp_path, capsys):
+        doc = {"group": "kpn-dual", "n": 3, "k_max": 1200, "coefficients": [["e:0,0", [1, 0]], ["e:1,0", [2, 0]]]}
+        line = "numeric failure: the powers of the walk leave the floating-point range\n"
+        assert run_cli(["run", write_config(tmp_path, doc)], capsys) == (3, "", line)
+
+
 class TestIdempotents:
     def test_n2_list(self, capsys):
         code, out, _ = run_cli(["idempotents", "--n", "2"], capsys)
