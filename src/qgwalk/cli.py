@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,31 +239,34 @@ def _walk(cfg: WalkConfig, tol: float) -> tuple[dict, dict, wk.WalkTable]:
     return doc, meta, c.table
 
 
-def _emit(text: str, path: str | None, stdout) -> None:
-    """Write the text and a newline to path, or to stdout."""
+def _emit(pieces: Iterable[str], path: str | None, stdout) -> None:
+    """Write the pieces of text, one after the other, and a newline to path, or to stdout."""
     if path:
         try:
             with open(path, "w", newline="") as handle:
-                handle.write(text + "\n")
+                handle.writelines(pieces)
+                handle.write("\n")
         except OSError as exc:  # such as a directory that does not exist
             raise ConfigError(f"{path}: {exc.strerror}") from exc
     else:
-        print(text, file=stdout)
+        stdout.writelines(pieces)
+        stdout.write("\n")
 
 
 def cmd_walk(command: str, cfg: WalkConfig, out_path: str | None, stdout) -> int:
     """``classify`` prints the classification; ``run`` writes the rows and the meta."""
     doc, meta, table = _walk(cfg, tolerance_of(cfg))
     if command == "classify":
-        _emit(json.dumps(doc, sort_keys=True), out_path, stdout)
+        _emit((json.dumps(doc, sort_keys=True),), out_path, stdout)
         return EXIT_OK
     engine = wk._PowerEngine(table)
     ks = range(1, min(engine.settled(SETTLED_FLOOR), cfg.k_max + 1))
-    rows = _csv("k,qtv,lower,upper", zip(ks, *_clamp(engine.measure(ks))))
-    zeros = "".join(f"\n{k},0.0,0.0,0.0" for k in range(len(ks) + 1, cfg.k_max + 1))  # the rows past the settle point
+    rows = _csv("k,qtv,lower,upper", zip(ks, *_clamp(engine.measure(ks))))  # all formatted before a byte is written
+    zeros = range(len(ks) + 1, cfg.k_max + 1)  # the rows past the settle point, written 2^16 to a piece
+    pieces = ("".join(f"\n{k},0.0,0.0,0.0" for k in zeros[i : i + 2**16]) for i in range(0, len(zeros), 2**16))
     path = out_path or cfg.output
-    _emit(rows + zeros, path, stdout)
-    _emit(json.dumps(meta, sort_keys=True), path and path + ".meta.json", stdout)
+    _emit(itertools.chain((rows,), pieces), path, stdout)
+    _emit((json.dumps(meta, sort_keys=True),), path and path + ".meta.json", stdout)
     return EXIT_OK
 
 
@@ -277,7 +282,7 @@ def cmd_idempotents(n: int, out_path: str | None, stdout) -> int:
         for spec in idem.enumerate_central_idempotents(n)
     ]
     rows.sort(key=lambda r: json.dumps(r["spec"], sort_keys=True))
-    _emit(json.dumps(rows, sort_keys=True), out_path, stdout)
+    _emit((json.dumps(rows, sort_keys=True),), out_path, stdout)
     return EXIT_OK
 
 
@@ -310,7 +315,7 @@ def cmd_cutoff(n_list: list[int], c_list: list[float], out_dir: str | None, stdo
         except OSError as exc:  # such as a file of that name
             raise ConfigError(f"{out_dir}: {exc.strerror}") from exc
     path = out_dir and os.path.join(out_dir, "cutoff.csv")
-    _emit(_csv("n,c,k,qtv,lower,upper_sharp,upper_theorem", rows), path, stdout)
+    _emit((_csv("n,c,k,qtv,lower,upper_sharp,upper_theorem", rows),), path, stdout)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ wrapped mod n, i.e. 0-based row r and column (r + l) % n; the sign
 from __future__ import annotations
 
 import cmath
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -183,14 +183,6 @@ class CentralElement:
         return all(abs(self.coefficient(a) - other.coefficient(a)) <= tol for a in labels)
 
 
-def _slot_order(n: int, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perm, slots, dims) of the non-trivial ``slots[perm]`` in their labels' sorted order: the X slots, from 4n
-    on, then the others, each in slot order, as "X" < "rho+" < "rho-" < "sigma+" < "sigma-": no label is compared."""
-    perm = np.lexsort((slots, slots < 4 * n))
-    perm = perm[slots[perm] != 0]  # slot 0 is the trivial label
-    return perm, slots[perm], np.where(slots[perm] >= 4 * n, 2.0, 1.0)  # X labels have dimension 2
-
-
 def _split_coeffs(n: int, flat: np.ndarray):
     """Per-kind views rp, rm, sp, sm (length n) and xv (n x (n//2 + 1)) of a flat vector.
 
@@ -220,6 +212,20 @@ def _place(n: int, slots, values: np.ndarray) -> np.ndarray:
 def _coeff_vector(a: CentralElement) -> np.ndarray:
     """Coefficients in the flat layout of ``_split_coeffs`` (zeros where absent), placed at the element's slots."""
     return _place(a.n, a._slots, a._values)
+
+
+def walk_columns(a: CentralElement) -> tuple[list[IrrepLabel], np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, slots, ratios, dims) of the non-trivial labels of ``a`` in sorted order, the columns of its walk.
+
+    The order is the X slots, from 4n on, then the others, each in slot order, as "X" < "rho+" < "rho-" <
+    "sigma+" < "sigma-": no label is compared.  The ratios are a_alpha / d_alpha.
+    """
+    labels = list(a.coeffs)
+    perm = np.lexsort((a._slots, a._slots < 4 * a.n))
+    perm = perm[a._slots[perm] != 0]  # slot 0 is the trivial label
+    slots = a._slots[perm]
+    dims = np.where(slots >= 4 * a.n, 2.0, 1.0)  # X labels have dimension 2
+    return list(map(labels.__getitem__, perm.tolist())), slots, a._values[perm] / dims, dims
 
 
 def fourier_density(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,6 +263,57 @@ def density_blocks(beta: np.ndarray, s: np.ndarray) -> np.ndarray:
     if odd:
         return beta[..., None, None]
     return np.stack((beta[..., :h], -s[..., h:], -s[..., :h], beta[..., h:]), axis=-1).reshape(*beta.shape[:-1], h, 2, 2)
+
+
+def _trace_norms(beta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The trace norms of the 2x2 ``density_blocks(beta, s)``, even n, from ``beta`` and ``s`` alone.
+
+    A 2x2 matrix A with singular values s1, s2 has s1 s2 = |det A| and s1^2 + s2^2 = ||A||_F^2, so
+    s1 + s2 = sqrt(||A||_F^2 + 2 |det A|); conjugating by diag(1, -1) drops the signs of s.  Each block
+    is scaled by 2^-e, with e the exponent of its largest real or imaginary part, before it is squared:
+    scaling by a power of two is exact, the squares neither underflow in the tail nor overflow, and no
+    reciprocal of a subnormal is taken.  The rows [b_w, s_w] and [b_(w+h), s_(w+h)] fix the order in
+    which the squares are summed and the products taken, so that no pinned distance moves.
+    """
+    h = beta.shape[-1] // 2
+    parts = np.stack((beta[..., :h], s[..., :h], beta[..., h:], s[..., h:]), axis=-1)
+    parts = parts.reshape(*beta.shape[:-1], h, 2, 2).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    scaled = np.ldexp(parts, -e[..., None, None])
+    prod = scaled.view(np.complex128)
+    prod = prod[..., 0, :] * prod[..., 1, :]  # b_w b_(w+h) and s_w s_(w+h)
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1).sum(axis=-1) + 2.0 * np.abs(prod[..., 0] - prod[..., 1])), e)
+
+
+def walk_synthesis(n: int, slots: np.ndarray) -> tuple[Callable[[np.ndarray], tuple], tuple[float, ...], int]:
+    """(synth, weights, width) of the KP_n walk whose non-trivial coefficients sit at ``slots`` (``walks.WalkTable``).
+
+    ``synth`` maps a (K, m) stack of coefficients at the slots to the density of each row in the Fourier
+    picture, by ``fourier_density``: its abelian values and the singular values of its matrix block, which
+    are |beta_w|, or with sigma slots (2n..4n-1) the trace norms of the 2x2 ``density_blocks``.  When every
+    slot is rho+- (below 2n), the abelian part does not depend on j: the n equal values of each row i fold
+    into one, with n times the weight, and a row costs two length-n FFTs.  ``width`` is the number of complex
+    values ``synth`` holds per row in its largest array.
+    """
+    if (slots < 2 * n).all():
+
+        def rho_synth(c):
+            flat = np.zeros((len(c), 2 * n), dtype=np.complex128)
+            flat[:, slots] = c
+            rp, rm = flat[:, :n], flat[:, n:]
+            # the abelian part at j = 0 and the spectrum of the circulant block
+            return (np.fft.fft(np.stack([rp + rm, rp - rm], axis=1)),)
+
+        return rho_synth, (1.0 / (2.0 * n),), 2 * n
+
+    sigma = ((2 * n <= slots) & (slots < 4 * n)).any()
+
+    def synth(c):
+        abelian, beta, s = fourier_density(n, _place(n, slots, c))
+        return abelian, _trace_norms(beta, s) if sigma else beta
+
+    shape = AlgebraShape.sekine(n)
+    return synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n
 
 
 def _element_arrays(n, rp, rm, sp, sm, xv):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraShape
+from .algebra import DEFAULT_TOL
 from .idempotents import (
     AmbiguousBoundaryError,
     HaarSpec,
@@ -36,14 +36,12 @@ from .sekine import (
     CentralElement,
     NotAStateError,  # noqa: F401 -- re-exported: the name callers of the walk functions catch
     StateReport,
-    _place,
-    _slot_order,
-    density_blocks,
-    fourier_density,
     parse_label,
     rho_plus,
     trivial_label,
     validate_state,
+    walk_columns,
+    walk_synthesis,
 )
 
 # A ratio whose modulus lies within ROOT_TOL of 1, or whose phase lies
@@ -96,76 +94,15 @@ class WalkTable(NamedTuple):
     width: int
 
 
-def _block_trace_norms(blocks: np.ndarray) -> np.ndarray:
-    """Trace norms of a stack of 2x2 blocks (``sekine.density_blocks``).
-
-    A 2x2 matrix A with singular values s1, s2 has s1 s2 = |det A| and
-    s1^2 + s2^2 = ||A||_F^2, so s1 + s2 = sqrt(||A||_F^2 + 2 |det A|).
-    Each block is scaled by 2^-e, with e the exponent of its largest
-    real or imaginary part, before it is squared: scaling by a power of
-    two is exact, the squares neither underflow in the tail nor
-    overflow, and no reciprocal of a subnormal is taken.
-
-    ``blocks`` holds one row per k, and so does the result.
-    """
-    # the columns, each read from its diagonal entry: the order in which the squares are summed
-    # and the products taken, kept from the earlier beta/sigma layout so that no pinned distance moves
-    parts = np.stack((blocks[..., :, 0], blocks[..., ::-1, 1]), axis=-2).view(np.float64)  # [[b00, b10], [b11, b01]]
-    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
-    scaled = np.ldexp(parts, -e[..., None, None])
-    prod = scaled.view(np.complex128)
-    prod = prod[..., 0, :] * prod[..., 1, :]  # b00 b11 and b10 b01
-    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1).sum(axis=-1) + 2.0 * np.abs(prod[..., 0] - prod[..., 1])), e)
-
-
 def _kpn_table(a: CentralElement) -> WalkTable:
-    """The KP_n walk as seen by the engine: the Fourier values of a^k - h.
-
-    The keys are the non-trivial labels in sorted order, which ``sekine._slot_order``
-    reads off the element's slots in the flat layout: no label is compared.  The
-    table itself is built by ``_flat_table`` from the slots alone.
-    """
-    labels = list(a.coeffs)
-    perm, slots, dims = _slot_order(a.n, a._slots)
-    keys = list(map(labels.__getitem__, perm.tolist()))
-    return _flat_table(a.n, keys, slots, a._values[perm] / dims, dims)
+    """The KP_n walk as seen by the engine: the Fourier values of a^k - h, keyed by the labels in sorted order."""
+    return _flat_table(a.n, *walk_columns(a))
 
 
 def _flat_table(n: int, keys: Sequence, slots: np.ndarray, ratios: np.ndarray, dims: np.ndarray) -> WalkTable:
-    """The KP_n walk table of the non-trivial ``ratios`` at ``slots`` of the flat layout (``sekine._place``).
-
-    Each a^k - h is synthesised by ``sekine.fourier_density``; its matrix block has
-    the singular values |beta_w|, or with sigma slots (2n..4n-1) the trace norms of
-    the blocks of ``sekine.density_blocks``.  Every k of a chunk goes through the
-    same FFTs.  When every slot is rho+- (below 2n), the abelian part does not
-    depend on j: the table folds the n equal values of each row i into one, with
-    n times the weight, and one step costs two length-n FFTs.
-    """
+    """The KP_n walk table of the non-trivial ``ratios`` at ``slots``, synthesised by ``sekine.walk_synthesis``."""
     # negated n-th roots of unity are exact too (rho^- coefficients of boundary walks)
-    order = math.lcm(2, n)
-
-    def table(synth, weights, width):
-        return WalkTable(keys, ratios, dims, order, slice(None), synth, weights, width)
-
-    if (slots < 2 * n).all():
-
-        def rho_synth(c):
-            flat = np.zeros((len(c), 2 * n), dtype=np.complex128)
-            flat[:, slots] = c
-            rp, rm = flat[:, :n], flat[:, n:]
-            # the abelian part at j = 0 and the spectrum of the circulant block
-            return (np.fft.fft(np.stack([rp + rm, rp - rm], axis=1)),)
-
-        return table(rho_synth, (1.0 / (2.0 * n),), 2 * n)
-
-    sigma = ((2 * n <= slots) & (slots < 4 * n)).any()
-
-    def synth(c):
-        abelian, beta, s = fourier_density(n, _place(n, slots, c))
-        return abelian, _block_trace_norms(density_blocks(beta, s)) if sigma else beta
-
-    shape = AlgebraShape.sekine(n)
-    return table(synth, (shape.weight_abelian, shape.weight_matrix), (n + 2) * n)
+    return WalkTable(keys, ratios, dims, math.lcm(2, n), slice(None), *walk_synthesis(n, slots))
 
 
 def _finite(values: np.ndarray) -> list:

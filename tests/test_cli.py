@@ -1256,11 +1256,23 @@ class TestExitContract:
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert proc.stdout.splitlines()[:4] == ["k,qtv,lower,upper", "1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.0,0.0,0.0"]
 
+    def test_rows_past_the_settle_point_are_written_in_bounded_memory(self, tmp_path):
+        # the cosine walk at n = 5 settles near k = 40: the two million rows after it
+        # take about 50 MB as text, written a piece at a time under a 256 MiB limit
+        out = tmp_path / "rows.csv"
+        proc = _run_in_1_gib(["run", write_config(tmp_path, {**COSINE5, "k_max": 2 * 10**6}), "--out", str(out)], 1 << 28)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), proc.stderr
+        with out.open() as handle:
+            count, last = 0, ""
+            for last in handle:
+                count += 1
+        assert (count, last) == (2 * 10**6 + 1, "2000000,0.0,0.0,0.0\n")
 
-def _run_in_1_gib(argv):
-    """``qgwalk <argv>`` in a new interpreter whose address space is limited to 1 GiB."""
+
+def _run_in_1_gib(argv, limit=1 << 30):
+    """``qgwalk <argv>`` in a new interpreter whose address space is limited to ``limit`` bytes, 1 GiB by default."""
     script = (
-        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
         "from qgwalk.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     src = str(pathlib.Path(qgwalk.__file__).parents[1])
