@@ -1243,7 +1243,7 @@ class TestExitContract:
         # the arrays (7.3 TiB for the n = 10^6 state check, 14.6 TiB for the dual
         # synthesis) are refused under a 1 GiB address-space limit on every
         # host, so nothing large is ever touched; a dict stands for its config file
-        proc = _run_in_1_gib([write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv])
+        proc = _run_limited([write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv])
         assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.strip() != "numeric failure:", "the failure names no reason"
@@ -1252,7 +1252,7 @@ class TestExitContract:
         # the dual Haar state has no non-zero ratio: it settles at k = 1, so run writes
         # zero rows without the 14.6 TiB synthesis
         doc = {"group": "kpn-dual", "n": 10**6, "k_max": 3, "coefficients": [["e:0,0", [1, 0]]]}
-        proc = _run_in_1_gib(["run", write_config(tmp_path, doc)])
+        proc = _run_limited(["run", write_config(tmp_path, doc)])
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert proc.stdout.splitlines()[:4] == ["k,qtv,lower,upper", "1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.0,0.0,0.0"]
 
@@ -1260,7 +1260,7 @@ class TestExitContract:
         # the cosine walk at n = 5 settles near k = 40: the two million rows after it
         # take about 50 MB as text, written a piece at a time under a 256 MiB limit
         out = tmp_path / "rows.csv"
-        proc = _run_in_1_gib(["run", write_config(tmp_path, {**COSINE5, "k_max": 2 * 10**6}), "--out", str(out)], 1 << 28)
+        proc = _run_limited(["run", write_config(tmp_path, {**COSINE5, "k_max": 2 * 10**6}), "--out", str(out)], limit=256 << 20)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), proc.stderr
         with out.open() as handle:
             count, last = 0, ""
@@ -1269,7 +1269,7 @@ class TestExitContract:
         assert (count, last) == (2 * 10**6 + 1, "2000000,0.0,0.0,0.0\n")
 
 
-def _run_in_1_gib(argv, limit=1 << 30):
+def _run_limited(argv, limit=1 << 30):
     """``qgwalk <argv>`` in a new interpreter whose address space is limited to ``limit`` bytes, 1 GiB by default."""
     script = (
         f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
